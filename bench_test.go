@@ -326,23 +326,17 @@ func BenchmarkAblationTrie(b *testing.B) {
 
 // BenchmarkAblationKernel quantifies the compiled policy kernel on
 // simulated probes: the same exhaustive output-query load (every policy
-// word up to depth 5) is answered by a memo-less oracle over a forking
-// simulator prober, once on the compiled kernel (dense transition tables,
-// sessions as (int32 state, content) values, peek-based eviction probes —
-// the default) and once through the interpreted Policy interface (virtual
-// dispatch per access, deep policy clones per fork — the pre-kernel path,
-// polca.NewInterpretedSimProber). The prober — and with it the one-time
-// compilation — is built outside the timed loop, so the legs compare pure
-// probe cost. Memoization is disabled so every probe really executes; the
-// deterministic counters (probes/op, accesses/op) are identical across
-// legs by construction — the kernel changes only ns/op and allocs/op,
-// which is exactly what this benchmark tracks.
-//
-// The batched leg answers the same load through the structure-of-arrays
-// engine (polca.WithBatchedQueries): one OutputQueryBatch over the whole
+// word up to depth 5) is answered by a memo-less oracle, once on the
+// compiled kernel's batched engine — one OutputQueryBatch over the whole
 // word set, lanes advancing in positional lockstep over a contiguous state
-// vector instead of one heap session per word. Same counters, same
-// answers; ns/op is the SoA payoff over the per-session compiled leg.
+// vector — and once word by word through the interpreted Policy interface
+// (virtual dispatch per access, deep policy clones per fork — the
+// pre-kernel path, polca.NewInterpretedSimProber). The prober — and with
+// it the one-time compilation — is built outside the timed loop, so the
+// legs compare pure probe cost. Memoization is disabled so every probe
+// really executes; the deterministic counters (probes/op, accesses/op) are
+// identical across legs by construction — the kernel changes only ns/op
+// and allocs/op, which is exactly what this benchmark tracks.
 func BenchmarkAblationKernel(b *testing.B) {
 	cases := []struct {
 		name  string
@@ -355,7 +349,6 @@ func BenchmarkAblationKernel(b *testing.B) {
 		batched bool
 		mk      func(name string, assoc int) polca.Prober
 	}{
-		{"compiled", false, func(n string, a int) polca.Prober { return polca.NewSimProber(policy.MustNew(n, a)) }},
 		{"batched", true, func(n string, a int) polca.Prober { return polca.NewSimProber(policy.MustNew(n, a)) }},
 		{"interpreted", false, func(n string, a int) polca.Prober { return polca.NewInterpretedSimProber(policy.MustNew(n, a)) }},
 	}
@@ -367,11 +360,7 @@ func BenchmarkAblationKernel(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					opts := []polca.Option{polca.WithoutMemo()}
-					if l.batched {
-						opts = append(opts, polca.WithBatchedQueries())
-					}
-					oracle := polca.NewOracle(prober, opts...)
+					oracle := polca.NewOracle(prober, polca.WithoutMemo())
 					if l.batched {
 						if _, err := oracle.OutputQueryBatch(context.Background(), words); err != nil {
 							b.Fatal(err)
@@ -447,16 +436,18 @@ func BenchmarkAblationAlgo(b *testing.B) {
 // store from 8 goroutines with a mixed read/write load over the LRU-4
 // policy alphabet — stripes=1 is the single-mutex configuration the
 // pre-qstore oracle was stuck with, striped is the default one-shard-per-
-// input-symbol layout. The learn legs run the same comparison end to end:
-// parallel batched learning of New1-4 at 8 workers against a single-lock
-// oracle (polca.WithStoreStripes(1)) versus the striped default.
+// input-symbol layout. The learn legs run the same comparison end to end,
+// learning New1-4 on a single-lock oracle (polca.WithStoreStripes(1))
+// versus the striped default.
 //
-// Like BenchmarkAblationBatch, the wall-clock gap is a function of real
-// cores: on a single-core machine the legs coincide (8 goroutines
-// time-slice one CPU, so no lock is ever contended for long), and the
-// striping gain materializes on multi-core runners. The deterministic
-// counters (probes/op, B/op) are identical by construction — striping
-// must never change the work, only the waiting.
+// The store legs' wall-clock gap is a function of real cores: on a
+// single-core machine they coincide (8 goroutines time-slice one CPU, so
+// no lock is ever contended for long), and the striping gain materializes
+// on multi-core runners. A compiled simulator answers every query on the
+// batched engine under one oracle lock, so the learn legs do not contend:
+// they pin that striping costs that serial path nothing.
+// The deterministic counters (probes/op, B/op) are identical by
+// construction — striping must never change the work, only the waiting.
 func BenchmarkStoreParallel(b *testing.B) {
 	words := qstore.Enumerate(5, 6)[1:]
 	store := func(b *testing.B, stripes int) {
@@ -531,8 +522,7 @@ func BenchmarkStoreParallel(b *testing.B) {
 	learnLeg := func(b *testing.B, opts ...polca.Option) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			oracle := polca.NewOracle(polca.NewSimProber(policy.MustNew("New1", 4)),
-				append([]polca.Option{polca.WithParallelism(8)}, opts...)...)
+			oracle := polca.NewOracle(polca.NewSimProber(policy.MustNew("New1", 4)), opts...)
 			res, err := learn.Learn(context.Background(), oracle, learn.Options{Depth: 1})
 			if err != nil {
 				b.Fatal(err)
@@ -643,32 +633,6 @@ func (t *cacheTeacher) OutputQuery(ctx context.Context, word []int) ([]int, erro
 		}
 	}
 	return out, nil
-}
-
-// BenchmarkAblationBatch quantifies the concurrent membership-query engine:
-// learning New1-4 through a serial oracle versus the batched oracle fanning
-// session probes over every available core. On a single-core machine the two
-// coincide (the learner detects a batch hint of 1 and stays exactly serial).
-func BenchmarkAblationBatch(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		par  int
-	}{{"serial", 1}, {"batched", 0}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				oracle := polca.NewOracle(polca.NewSimProber(policy.MustNew("New1", 4)),
-					polca.WithParallelism(mode.par))
-				res, err := learn.Learn(context.Background(), oracle, learn.Options{Depth: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Machine.NumStates != 160 {
-					b.Fatalf("learned %d states, want 160", res.Machine.NumStates)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationDepth varies the conformance suite depth k (§3.4) while

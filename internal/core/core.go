@@ -180,18 +180,6 @@ type SimOptions struct {
 	// deterministic oracle counter are bit-identical either way; only the
 	// wall-clock cost of simulated probes changes.
 	Interpreted bool
-	// Batched enables the structure-of-arrays batched query engine
-	// (polca.WithBatchedQueries): output-query batches execute over one
-	// contiguous state vector and content matrix instead of per-session
-	// goroutines. Requires the compiled kernel; with Interpreted set the
-	// oracle quietly keeps the per-session path. Answers and every
-	// deterministic counter are bit-identical to the per-session path.
-	Batched bool
-	// Workers caps the per-session path's goroutine fan-out
-	// (polca.WithParallelism); 0 keeps the oracle's GOMAXPROCS default.
-	// Pinning Workers to 1 makes per-session runs reproduce the exact
-	// serial trajectory the batched engine is tested against.
-	Workers int
 	// Faults, when set, interposes a deterministic fault injector
 	// (internal/faulty) between the oracle and the simulator: probes
 	// suffer the plan's seeded mix of transient errors, stalls and
@@ -239,12 +227,14 @@ func (o SimOptions) SimProber(pol policy.Policy) *polca.SimProber {
 
 // LearnSimulated learns a named policy of the given associativity from a
 // software-simulated cache (the §6 case study). The Polca oracle implements
-// learn.BatchTeacher over forking simulator sessions, so the learner's
-// observation-table rows (or discrimination-tree experiments, with
-// opt.Algo = learn.AlgoTree) and conformance words are answered on parallel
-// goroutines automatically. The returned machine is checked against nothing:
-// callers that know the ground truth can extract it with mealy.FromPolicy
-// and compare.
+// learn.BatchTeacher: the learner's observation-table rows (or
+// discrimination-tree experiments, with opt.Algo = learn.AlgoTree) and
+// conformance words reach it in chunks, which a compiled simulator answers
+// on the batched plan/execute/record engine. The chunk width is a constant,
+// so the learned machine, the learner statistics and every oracle counter
+// are identical at any GOMAXPROCS. The returned machine is checked against
+// nothing: callers that know the ground truth can extract it with
+// mealy.FromPolicy and compare.
 func LearnSimulated(ctx context.Context, policyName string, assoc int, opt learn.Options) (*SimResult, error) {
 	return LearnSimulatedSnapshot(ctx, policyName, assoc, opt, SnapshotOptions{})
 }
@@ -260,8 +250,8 @@ func LearnSimulatedSnapshot(ctx context.Context, policyName string, assoc int, o
 }
 
 // NewSimOracle builds the simulated-cache Polca oracle for a named policy
-// exactly as the learning pipelines do: compiled kernel by default, batched
-// engine / worker cap / fault injection / retry policy per SimOptions. It
+// exactly as the learning pipelines do: compiled kernel by default, fault
+// injection / retry policy per SimOptions. It
 // returns the oracle, the policy's canonical name, and the snapshot scope
 // tagging its query store. The polcad daemon (internal/daemon) builds its
 // shared per-(policy, assoc) engines through this seam, so a daemon-served
@@ -284,12 +274,6 @@ func NewSimOracleFleet(policyName string, assoc int, sim SimOptions) (oracle *po
 	}
 	canonical, scope = pol.Name(), SimSnapshotScope(pol.Name(), assoc)
 	var opts []polca.Option
-	if sim.Batched {
-		opts = append(opts, polca.WithBatchedQueries())
-	}
-	if sim.Workers > 0 {
-		opts = append(opts, polca.WithParallelism(sim.Workers))
-	}
 	if sim.Retry != nil {
 		opts = append(opts, polca.WithProbeRetries(*sim.Retry))
 	}
@@ -308,11 +292,6 @@ func NewSimOracleFleet(policyName string, assoc int, sim SimOptions) (oracle *po
 			return nil, nil, "", "", err
 		}
 		prober = fleet
-		// Group each Evct's eviction probes into one round trip; grouping
-		// never changes answers, so trajectories stay bit-identical.
-		if !sim.Batched {
-			opts = append(opts, polca.WithBatchedQueries())
-		}
 	} else {
 		prober = sim.SimProber(pol)
 		if sim.Faults != nil {
@@ -401,12 +380,6 @@ type HardwareRequest struct {
 	Learn learn.Options
 	// DeterminismEvery re-checks every n-th Polca query (0 disables).
 	DeterminismEvery int
-	// Batched enables the batched membership-query engine on the hardware
-	// pipeline: the oracle groups the associativity-many eviction probes of
-	// each miss into one ProbeBatch fanned over the replica pool. Only
-	// effective with a replica pool (NewCPU set, Replicas > 1) — a single
-	// frontend executes probes one at a time regardless.
-	Batched bool
 	// Snapshot controls oracle query-store persistence. Snapshots are
 	// scoped to (CPU model, target, reset): a warm path recorded under a
 	// different reset fails that candidate and the next reset is tried.
@@ -440,7 +413,10 @@ type HardwareResult struct {
 // With a NewCPU factory and more than one replica, the learning loop runs
 // on the concurrent membership-query engine: the learner batches its
 // observation-table and conformance queries, Polca fans them out over
-// parallel goroutines, and each goroutine probes a pooled CPU replica.
+// parallel goroutines, and each goroutine probes a pooled CPU replica; the
+// associativity-many eviction probes of each miss go out as one grouped
+// call over the pool. Words race for the shared memo here, so the oracle
+// counters (not the learned machine) vary from run to run.
 func LearnHardware(ctx context.Context, req HardwareRequest) (*HardwareResult, error) {
 	if req.CATWays > 0 {
 		if err := req.CPU.SetCATWays(req.CATWays); err != nil {
@@ -545,9 +521,6 @@ func LearnHardware(ctx context.Context, req HardwareRequest) (*HardwareResult, e
 		}
 		if req.Replicas > 0 {
 			opts = append(opts, polca.WithParallelism(req.Replicas))
-		}
-		if req.Batched {
-			opts = append(opts, polca.WithBatchedQueries())
 		}
 		if req.Faults != nil && req.Faults.FlipRate > 0 {
 			opts = append(opts, polca.WithProbeVotes(3))

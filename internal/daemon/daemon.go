@@ -59,7 +59,11 @@ type Config struct {
 	// QuotaRate is set).
 	QuotaBurst float64
 	// Sim configures the simulator stack under every engine: compiled vs
-	// interpreted kernel, batched engine, worker caps, fault injection.
+	// interpreted kernel, fault injection, a remote worker fleet. A
+	// compiled engine answers every call — query requests and job batches
+	// alike — on the oracle's batched engine under one lock, so the
+	// queries on one engine are serialized and every answer is exact
+	// however many tenants share it.
 	Sim core.SimOptions
 	// EventInterval is the SSE progress cadence (default 250ms).
 	EventInterval time.Duration

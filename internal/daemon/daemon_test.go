@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -24,6 +25,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/faulty"
 	"repro/internal/learn"
+	"repro/internal/mealy"
+	"repro/internal/policy"
 )
 
 // testServer wires a Server to an httptest listener and tears both down.
@@ -533,5 +536,97 @@ func TestValidModelName(t *testing.T) {
 		if validModelName(n) {
 			t.Errorf("validModelName(%q) = true, want false", n)
 		}
+	}
+}
+
+// TestConcurrentQueriesDuringJob drives one engine from a learning job and
+// several query clients at once — batched and single-word requests over
+// overlapping random words — with checkpoints firing under the load. The
+// engine answers every call on one batched engine under one lock: every
+// served answer must match the machine extracted from the policy, and the
+// job must still serve the byte-identical model of a solo learn.
+func TestConcurrentQueriesDuringJob(t *testing.T) {
+	const policyName, assoc, clients = "MRU", 4, 4
+	truth, err := mealy.FromPolicy(policy.MustNew(policyName, assoc), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := testServer(t, Config{ModelsDir: t.TempDir(), SnapshotDir: t.TempDir(), CheckpointEvery: 512})
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, clients)
+	// Each client signals ready once mid-stream; its deferred signal covers
+	// a client that fails before that (the buffer absorbs the extra one).
+	ready := make(chan struct{}, 2*clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			defer func() { ready <- struct{}{} }()
+			rng := rand.New(rand.NewSource(int64(c)))
+			for req := 0; ; req++ {
+				if req == 1 {
+					ready <- struct{}{}
+				}
+				select {
+				case <-stop:
+					if req >= 10 {
+						return
+					}
+				default:
+				}
+				words := make([][]int, 1+(req%2)*7) // alternate single words and 8-word batches
+				for i := range words {
+					words[i] = make([]int, 1+rng.Intn(10))
+					for j := range words[i] {
+						words[i][j] = rng.Intn(truth.NumInputs)
+					}
+				}
+				body, _ := json.Marshal(map[string]any{"policy": policyName, "assoc": assoc, "words": words})
+				var resp queryResponse
+				if hr := postJSON(t, ts.Client(), ts.URL+"/v1/query", fmt.Sprintf("tenant-%d", c), string(body), &resp); hr.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("client %d request %d: status %d", c, req, hr.StatusCode)
+					return
+				}
+				for i, w := range words {
+					if want := truth.Run(w); fmt.Sprint(resp.Outputs[i]) != fmt.Sprint(want) {
+						errs <- fmt.Errorf("client %d word %v: served %v, ground truth %v", c, w, resp.Outputs[i], want)
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	// Every client is mid-stream before the job starts, and keeps going
+	// until it ends, so the job's whole run overlaps the query load.
+	for c := 0; c < clients; c++ {
+		<-ready
+	}
+	var st jobStatus
+	if hr := postJSON(t, ts.Client(), ts.URL+"/v1/jobs", "", `{"policy":"MRU","assoc":4}`, &st); hr.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d", hr.StatusCode)
+	}
+	st = waitJob(t, ts.URL, st.ID)
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if st.State != jobDone {
+		t.Fatalf("job ended %s: %s", st.State, st.Error)
+	}
+	resp, err := http.Get(ts.URL + st.ModelURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := referenceModel(t, policyName, assoc, learn.Options{Depth: 1, MaxStates: 100000}); !bytes.Equal(served, want) {
+		t.Error("model learned under concurrent queries differs from the solo learn")
 	}
 }

@@ -111,25 +111,31 @@ func TestBatchedLearningIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestBatchedPolcaLearningIsDeterministic runs the §6 pipeline both ways:
-// serial oracle versus batched oracle fanning session probes over parallel
-// goroutines. The learned machines must be trace-equivalent.
+// TestBatchedPolcaLearningIsDeterministic runs the §6 pipeline twice on
+// fresh batched oracles: the learned machines must be equivalent and the
+// learner and oracle counters identical — the trajectory depends on
+// nothing but the policy, in particular not on GOMAXPROCS.
 func TestBatchedPolcaLearningIsDeterministic(t *testing.T) {
-	serialOracle := polca.NewOracle(polca.NewSimProber(policy.MustNew("MRU", 4)), polca.WithParallelism(1))
-	serial, err := Learn(context.Background(), serialOracle, Options{Depth: 1})
-	if err != nil {
-		t.Fatal(err)
+	run := func() (*Result, polca.Stats) {
+		oracle := polca.NewOracle(polca.NewSimProber(policy.MustNew("MRU", 4)))
+		res, err := Learn(context.Background(), oracle, Options{Depth: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, oracle.Stats()
 	}
-	parOracle := polca.NewOracle(polca.NewSimProber(policy.MustNew("MRU", 4)), polca.WithParallelism(8))
-	batched, err := Learn(context.Background(), parOracle, Options{Depth: 1})
-	if err != nil {
-		t.Fatal(err)
+	first, firstStats := run()
+	second, secondStats := run()
+	if eq, ce := second.Machine.Equivalent(first.Machine); !eq {
+		t.Fatalf("repeated Polca learning diverged, ce=%v", ce)
 	}
-	if eq, ce := batched.Machine.Equivalent(serial.Machine); !eq {
-		t.Fatalf("batched Polca learning diverged from serial, ce=%v", ce)
+	if first.Machine.NumStates != 14 {
+		t.Errorf("learned %d states, want 14 (MRU-4)", first.Machine.NumStates)
 	}
-	if batched.Machine.NumStates != 14 {
-		t.Errorf("learned %d states, want 14 (MRU-4)", batched.Machine.NumStates)
+	a, b := first.Stats, second.Stats
+	a.Duration, b.Duration = 0, 0
+	if !reflect.DeepEqual(a, b) || firstStats != secondStats {
+		t.Errorf("repeated learns took different trajectories: %+v / %+v vs %+v / %+v", a, firstStats, b, secondStats)
 	}
 }
 
@@ -226,10 +232,11 @@ func TestConcurrentBatchTeacherQueries(t *testing.T) {
 }
 
 // TestConcurrentOracleBatchQueries exercises the batched Polca oracle under
-// the race detector: parallel session probing with a shared memo table.
+// the race detector, with determinism audits, against a second oracle
+// asked word by word.
 func TestConcurrentOracleBatchQueries(t *testing.T) {
 	oracle := polca.NewOracle(polca.NewSimProber(policy.MustNew("LRU", 4)),
-		polca.WithParallelism(8), polca.WithDeterminismChecks(16))
+		polca.WithDeterminismChecks(16))
 	truthOracle := polca.NewOracle(polca.NewSimProber(policy.MustNew("LRU", 4)))
 
 	words := qstore.Enumerate(oracle.NumInputs(), 3)[1:]

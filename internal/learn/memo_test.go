@@ -92,7 +92,7 @@ func TestConcurrentTrieInsertionUnderPoolTeacher(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := polca.NewOracle(polca.NewSimProber(policy.MustNew("SRRIP-HP", 4)),
-		polca.WithParallelism(8), polca.WithSessionCap(16))
+		polca.WithSessionCap(16))
 	pool := NewPoolTeacher(oracle, 8)
 
 	words := qstore.Enumerate(truth.NumInputs, 3)[1:] // heavy prefix overlap

@@ -134,9 +134,8 @@ func TestTreeMatchesLStarUnderBatchedTeachers(t *testing.T) {
 }
 
 // TestTreeViaPolcaOracle drives the §6 pipeline with the tree learner:
-// learner -> Polca -> simulated cache, serial and on the batched replica
-// engine, checked against the ground-truth automaton and the paper's state
-// counts.
+// learner -> Polca -> simulated cache, checked against the ground-truth
+// automaton and the paper's state counts.
 func TestTreeViaPolcaOracle(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -153,39 +152,28 @@ func TestTreeViaPolcaOracle(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			truth, _ := mealy.FromPolicy(policy.MustNew(c.name, c.assoc), 0)
-			serialOracle := polca.NewOracle(polca.NewSimProber(policy.MustNew(c.name, c.assoc)),
-				polca.WithParallelism(1))
-			serial, err := Learn(context.Background(), serialOracle, Options{Depth: 1, Algo: AlgoTree})
+			oracle := polca.NewOracle(polca.NewSimProber(policy.MustNew(c.name, c.assoc)))
+			res, err := Learn(context.Background(), oracle, Options{Depth: 1, Algo: AlgoTree})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := truth.Minimize().NumStates; serial.Machine.NumStates != want {
-				t.Errorf("learned %d states, want %d", serial.Machine.NumStates, want)
+			if want := truth.Minimize().NumStates; res.Machine.NumStates != want {
+				t.Errorf("learned %d states, want %d", res.Machine.NumStates, want)
 			}
-			if eq, ce := serial.Machine.Equivalent(truth); !eq {
-				t.Fatalf("serial tree machine differs from truth, ce=%v", ce)
-			}
-			parOracle := polca.NewOracle(polca.NewSimProber(policy.MustNew(c.name, c.assoc)),
-				polca.WithParallelism(8))
-			batched, err := Learn(context.Background(), parOracle, Options{Depth: 1, Algo: AlgoTree})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if eq, ce := batched.Machine.Equivalent(serial.Machine); !eq {
-				t.Errorf("batched tree learning diverged from serial, ce=%v", ce)
+			if eq, ce := res.Machine.Equivalent(truth); !eq {
+				t.Fatalf("tree machine differs from truth, ce=%v", ce)
 			}
 		})
 	}
 }
 
-// TestTreeLearnerConcurrencyRace drives two tree learners on the replica
-// engine concurrently — each over its own batched oracle fanning session
-// probes across parallel goroutines, plus a third goroutine hammering one of
-// the shared oracles directly. It exists to run under -race: the tree
-// learner's batched prefetch path must be data-race free end to end.
+// TestTreeLearnerConcurrencyRace drives two tree learners concurrently over
+// one shared oracle, plus a third goroutine hammering that oracle directly.
+// It exists to run under -race: the tree learner's batched prefetch path
+// and the oracle's batched engine must be data-race free end to end.
 func TestTreeLearnerConcurrencyRace(t *testing.T) {
 	oracle := polca.NewOracle(polca.NewSimProber(policy.MustNew("MRU", 4)),
-		polca.WithParallelism(8), polca.WithSessionCap(32))
+		polca.WithSessionCap(32))
 	truth, _ := mealy.FromPolicy(policy.MustNew("MRU", 4), 0)
 
 	var wg sync.WaitGroup

@@ -1,10 +1,10 @@
 package polca
 
-// Batched output queries over the compiled policy kernel. The per-session
-// trie path (sessionQueryTrie) answers one word at a time: walk the store,
-// fork a parked session, feed the suffix block by block through interface
-// calls and string scans. BatchProber replaces that with a three-phase
-// engine over one structure-of-arrays block (policy.Batch):
+// The batched query engine: the one path on which an oracle over a
+// compiled SimProber answers queries. Where the word-at-a-time trie path
+// (sessionQueryTrie, kept by interpreted simulators) feeds each suffix
+// block by block through a forked session, BatchProber runs three phases
+// over one structure-of-arrays block (policy.Batch):
 //
 //  1. Plan (serial, word order): walk every word's known prefix under its
 //     shard lock — exactly walkKnownPrefix, extended with a batch-local
@@ -26,65 +26,51 @@ package polca
 //     session materialized from its park row. Placeholders the LRU evicted
 //     are dropped, exactly as the serial path would have dropped the fork.
 //
-// Counters are bit-identical to the per-session path by construction:
-// memo hits = known-prefix symbols (overlay included, which is what the
-// serial memo would have recorded by then), one probe per pending word,
-// and accesses = fast-forward length + suffix length + associativity per
-// Evct (the eviction probes a session would have issued). The equivalence
-// is asserted by TestBatchedOracleMatchesSerial down to the final store
-// state.
+// Counters are bit-identical to answering the words one by one on the
+// per-session path, by construction: memo hits = known-prefix symbols
+// (overlay included, which is what the serial memo would have recorded by
+// then), one probe per pending word, and accesses = fast-forward length +
+// suffix length + associativity per Evct (the eviction probes a session
+// would have issued). The equivalence is asserted against an interpreted
+// oracle by TestBatchedOracleMatchesSerial down to the final store state.
 //
-// A batch must not interleave with concurrent serial queries on the same
-// oracle: between plan and record, store nodes hold placeholder sessions
-// that only this batch can resolve (the learner's prefetch loop, the only
-// batching caller, is sequential). Foreign words — symbols out of range —
-// drop the whole batch to the serial loop so error semantics, including
-// partially recorded batches, stay exactly serial.
+// Between plan and record, store nodes hold placeholders only the planning
+// batch can resolve, so every call — OutputQuery as a batch of one or
+// OutputQueryBatch, from any goroutine — holds the engine's mutex from
+// plan through record; under it the engine reuses its plans, overlay map
+// and SoA block. A batch with an out-of-range symbol is answered word by
+// word on the per-session path, so its error semantics stay serial.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/blocks"
 	"repro/internal/cache"
 	"repro/internal/policy"
 )
 
-// WithBatchedQueries turns on the batched SoA query engine for compiled
-// simulator probers: OutputQueryBatch plans whole chunks against the store
-// and replays pending suffixes in lockstep over a policy.Batch block
-// instead of one session per word. Answers, recorded store contents and
-// cost counters are bit-identical to the per-session path; probers without
-// a compiled kernel (or oracles in a flat-memo ablation mode) keep the
-// per-session path. It also raises the oracle's BatchHint so the learner
-// forms chunks worth planning even over a single-threaded prober.
-func WithBatchedQueries() Option {
-	return func(o *Oracle) { o.batched = true }
-}
-
-// Batched reports whether the batched SoA query engine is enabled.
-func (o *Oracle) Batched() bool { return o.batched }
-
-// batchedHint is the BatchHint of a batched oracle: lockstep planning pays
-// off with deep chunks even when the prober itself is single-threaded, so
-// the hint no longer tracks goroutine parallelism.
+// batchedHint is the BatchHint of a simulator oracle: lockstep planning
+// pays off with deep chunks even on one core, so the hint is a constant
+// instead of tracking goroutine parallelism.
 const batchedHint = 16
 
 // ProbeBatcher is an optional Prober extension executing several
 // independent reset-rooted probes in one call — cachequery's replica pool
-// implements it by fanning the probes over its frontends. A batched oracle
-// groups the associativity-many findEvicted probes of an unmemoized Evct
-// through it. Counters are maintained per probe exactly as on the serial
-// path; only error paths differ (a failing batch aborts after issuing all
-// probes where the serial loop stops at the first).
+// implements it by fanning the probes over its frontends, a remote fleet
+// by shipping them in one round trip. The oracle groups the
+// associativity-many findEvicted probes of each Evct through it. Counters
+// are maintained per probe exactly as on the serial path; only error paths
+// differ (a failing batch aborts after issuing all probes where the serial
+// loop stops at the first).
 type ProbeBatcher interface {
 	Prober
 	ProbeBatch(ctx context.Context, qs [][]blocks.Block) ([]cache.Outcome, error)
 }
 
-// errBatchPlaceholder surfaces if a placeholder session escapes its batch
-// — the symptom of serial queries interleaved with an in-flight batch.
+// errBatchPlaceholder surfaces if a placeholder session escapes its batch.
 var errBatchPlaceholder = errors.New("polca: batch placeholder session used outside its batch")
 
 // batchPark is the placeholder Session parked during the plan phase: it
@@ -125,13 +111,13 @@ type outPatch struct {
 type batchPlan struct {
 	word []int
 	out  []int
-	seq  int // query sequence number (determinism audit schedule)
 
 	lane        int // SoA lane, -1 when the word is fully known
 	k           int // known-prefix length at plan time
 	resumeDepth int
-	resumeSess  *kernelSession // plan-time fork of a real parked session
-	srcLane     int            // producer lane when resuming a placeholder, -1 otherwise
+	resumeState int32   // table state of a real parked session resumed from
+	resumeRow   []int32 // its content, as dense block ids (empty when not resuming one)
+	srcLane     int     // producer lane when resuming a placeholder, -1 otherwise
 	srcDepth    int
 
 	parks   []plannedPark
@@ -150,10 +136,12 @@ type ovVal struct {
 	pos  int
 }
 
-// BatchProber is the batched execution engine the oracle builds over a
-// compiled SimProber for one OutputQueryBatch call. See the file comment
-// for the three phases.
+// BatchProber is the batched execution engine an oracle keeps over a
+// compiled SimProber. See the file comment for the three phases; mu
+// serializes whole batches, and every other field is scratch reused from
+// batch to batch under it.
 type BatchProber struct {
+	mu      sync.Mutex
 	o       *Oracle
 	tab     *policy.Table
 	n       int // associativity
@@ -164,101 +152,103 @@ type BatchProber struct {
 }
 
 func newBatchProber(o *Oracle, sp *SimProber) *BatchProber {
-	return &BatchProber{o: o, tab: sp.tab, n: sp.n, overlay: make(map[ovKey]ovVal)}
+	return &BatchProber{o: o, tab: sp.tab, n: sp.n, overlay: make(map[ovKey]ovVal),
+		bt: policy.NewBatch(sp.tab, 0, o.cc0IDs)}
 }
 
-// tryBatchedKernel dispatches an OutputQueryBatch to the SoA engine when
-// the oracle and prober support it, reporting done=false for the serial
-// fallback. Sequence numbers, symbol counters and determinism audits are
-// issued in word order exactly as the serial loop would.
-func (o *Oracle) tryBatchedKernel(ctx context.Context, words [][]int) (out [][]int, done bool, err error) {
-	if !o.batched || len(words) == 0 {
-		return nil, false, nil
-	}
+// query answers one batch under the engine lock, then fires the oracle's
+// checkpoint hook once. Sequence numbers, symbol counters and determinism
+// audits are issued in word order exactly as the serial loop would.
+func (bp *BatchProber) query(ctx context.Context, words [][]int) ([][]int, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, true, err
+		return nil, err
 	}
-	sp, ok := o.prober.(*SimProber)
-	if !ok || sp.tab == nil {
-		return nil, false, nil
+	bp.mu.Lock()
+	out, err := bp.answer(ctx, words)
+	bp.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
-	if o.useMemo && !o.useTrie {
-		return nil, false, nil // flat-memo ablation keeps its exact serial trajectory
-	}
-	n := o.prober.Assoc()
-	for _, w := range words {
-		for _, ip := range w {
-			if ip < 0 || ip > n {
-				// Out-of-range symbols take the serial loop so error
-				// semantics — including which earlier words get recorded —
-				// stay identical.
-				return nil, false, nil
+	bp.o.maybeCheckpoint()
+	return out, nil
+}
+
+// answer is query's locked section.
+func (bp *BatchProber) answer(ctx context.Context, words [][]int) ([][]int, error) {
+	o := bp.o
+	if !bp.inRange(words) {
+		out := make([][]int, len(words))
+		for i, w := range words {
+			ans, err := o.queryWord(ctx, w)
+			if err != nil {
+				return nil, err
 			}
+			out[i] = ans
 		}
+		return out, nil
 	}
 	seqs := make([]int, len(words))
 	for i, w := range words {
 		seqs[i] = int(o.outputQueries.Add(1))
 		o.symbols.Add(int64(len(w)))
 	}
+	var out [][]int
 	if o.trieOn() {
-		bp := newBatchProber(o, sp)
-		out, err = bp.run(words, seqs)
+		out = bp.run(words)
 	} else {
-		out, err = o.batchedQueryNoMemo(sp, words)
+		out = o.batchedQueryNoMemo(bp.tab, words)
 	}
-	if err != nil {
-		return nil, true, err
+	for i, w := range words {
+		if err := o.audit(ctx, seqs[i], w, out[i]); err != nil {
+			return nil, err
+		}
 	}
-	if o.recheck > 0 {
-		for i, w := range words {
-			if seqs[i]%o.recheck != 0 || len(w) == 0 {
-				continue
-			}
-			again, aerr := o.outputQueryOnce(ctx, w, true)
-			if aerr != nil {
-				return nil, true, aerr
-			}
-			for j := range out[i] {
-				if out[i][j] != again[j] {
-					return nil, true, fmt.Errorf("%w: repeated query diverged at position %d (%d vs %d)",
-						ErrNondeterministic, j, out[i][j], again[j])
-				}
+	return out, nil
+}
+
+// inRange reports whether every symbol of every word is a policy input.
+func (bp *BatchProber) inRange(words [][]int) bool {
+	for _, w := range words {
+		for _, ip := range w {
+			if ip < 0 || ip > bp.n {
+				return false
 			}
 		}
 	}
-	return out, true, nil
+	return true
 }
 
 // run answers one batch through the trie-backed engine.
-func (bp *BatchProber) run(words [][]int, seqs []int) ([][]int, error) {
-	if err := bp.plan(words, seqs); err != nil {
-		return nil, err
-	}
+func (bp *BatchProber) run(words [][]int) [][]int {
+	bp.plan(words)
 	bp.execute()
 	bp.record()
 	out := make([][]int, len(bp.plans))
 	for i := range bp.plans {
 		out[i] = bp.plans[i].out
 	}
-	return out, nil
+	return out
 }
 
 // plan walks every word in order, splitting it into a known prefix and a
 // pending suffix, and parks placeholders along the suffix path. It is the
 // serial prefix walk with the overlay added; all store and LRU mutations
 // happen in exactly the order the per-session path would perform them.
-func (bp *BatchProber) plan(words [][]int, seqs []int) error {
+func (bp *BatchProber) plan(words [][]int) {
 	o := bp.o
-	bp.plans = make([]batchPlan, len(words))
+	if cap(bp.plans) < len(words) {
+		bp.plans = make([]batchPlan, len(words))
+	}
+	bp.plans = bp.plans[:len(words)]
+	bp.byLane = bp.byLane[:0]
+	clear(bp.overlay)
 	parkRows := 0
+	var memoHits int64
 	for i, word := range words {
 		p := &bp.plans[i]
-		p.word = word
-		p.out = make([]int, len(word))
-		p.seq = seqs[i]
-		p.lane = -1
-		p.srcLane = -1
+		// Keep the previous batch's slices for their capacity.
+		*p = batchPlan{word: word, out: make([]int, len(word)), lane: -1, srcLane: -1,
+			resumeRow: p.resumeRow[:0], parks: p.parks[:0], patches: p.patches[:0]}
 
 		sh := o.out.Acquire(word)
 		node := int32(0)
@@ -285,12 +275,12 @@ func (bp *BatchProber) plan(words [][]int, seqs []int) error {
 			}
 		}
 		p.k = k
+		memoHits += int64(k)
 		if k == len(word) {
 			if resumeNode >= 0 {
 				o.touch(sh, resumeNode)
 			}
 			sh.Release()
-			o.memoHits.Add(int64(k))
 			continue
 		}
 		if resumeNode >= 0 {
@@ -298,18 +288,19 @@ func (bp *BatchProber) plan(words [][]int, seqs []int) error {
 			switch s := sh.Val(resumeNode).sess.(type) {
 			case *batchPark:
 				p.srcLane, p.srcDepth = s.lane, s.depth
-			case *kernelSession:
-				f, _ := s.Fork()
-				p.resumeSess = f.(*kernelSession)
 			default:
-				// A foreign session type under a compiled prober cannot
-				// happen in this oracle; fail loudly rather than diverge.
-				sh.Release()
-				return fmt.Errorf("polca: non-kernel session parked under a compiled prober at depth %d", resumeDepth)
+				// Only kernel sessions are parked under a compiled prober.
+				// They are never mutated once parked, so the snapshot is
+				// read in place instead of forked.
+				ks := s.(*kernelSession)
+				p.resumeState = ks.state
+				for _, b := range ks.content {
+					id, _ := blocks.Index(b)
+					p.resumeRow = append(p.resumeRow, int32(id))
+				}
 			}
 			p.resumeDepth = resumeDepth
 		}
-		o.memoHits.Add(int64(k))
 		p.lane = len(bp.byLane)
 		bp.byLane = append(bp.byLane, p)
 		if p.resumeDepth < k {
@@ -327,6 +318,7 @@ func (bp *BatchProber) plan(words [][]int, seqs []int) error {
 		parkRows += len(p.parks)
 		sh.Release()
 	}
+	o.memoHits.Add(memoHits)
 	// Assign SoA rows: one lane per pending word, then one row per park.
 	row := len(bp.byLane)
 	for i := range bp.plans {
@@ -336,14 +328,14 @@ func (bp *BatchProber) plan(words [][]int, seqs []int) error {
 			row++
 		}
 	}
-	bp.bt = policy.NewBatch(bp.tab, len(bp.byLane)+parkRows, bp.o.cc0IDs)
-	return nil
+	bp.bt.Reset(row)
 }
 
 // execute replays every pending lane over the SoA block, in word order so
 // producer lanes complete before the lanes that copy their park rows.
 func (bp *BatchProber) execute() {
 	o, bt, tab, n := bp.o, bp.bt, bp.tab, bp.n
+	var probes, accesses int64
 	for i := range bp.plans {
 		p := &bp.plans[i]
 		// Overlay-known positions resolve now: their producers ran already.
@@ -354,21 +346,15 @@ func (bp *BatchProber) execute() {
 			continue
 		}
 		switch {
-		case p.resumeSess != nil:
-			row := make([]int32, n)
-			for j, b := range p.resumeSess.content {
-				id, _ := blocks.Index(b)
-				row[j] = int32(id)
-			}
-			bt.LoadLane(p.lane, p.resumeSess.state, row)
+		case len(p.resumeRow) > 0:
+			bt.LoadLane(p.lane, p.resumeState, p.resumeRow)
 		case p.srcLane >= 0:
 			bt.CopyLane(p.lane, bp.rowOf(p.srcLane, p.srcDepth))
 		default:
-			// Fresh from reset: NewBatch seeded the lane already.
+			// Fresh from reset: Reset seeded the lane already.
 		}
 		st := bt.State(p.lane)
 		row := bt.Row(p.lane)
-		accesses := 0
 		// Fast-forward the known tail: outputs are recorded, so this is
 		// pure stepping — the serial path's "pure feeding, no probes".
 		for d := p.resumeDepth; d < p.k; d++ {
@@ -401,7 +387,7 @@ func (bp *BatchProber) execute() {
 				st, v = tab.Step(st, n)
 				p.out[d] = int(v)
 				row[v] = freshID(row)
-				accesses += 1 + n
+				accesses += int64(1 + n)
 			}
 			if pk < len(p.parks) && p.parks[pk].depth == d+1 {
 				bt.SetState(p.lane, st)
@@ -410,9 +396,10 @@ func (bp *BatchProber) execute() {
 			}
 		}
 		bt.SetState(p.lane, st)
-		o.probesN.Add(1)
-		o.accessesN.Add(int64(accesses))
+		probes++
 	}
+	o.probesN.Add(probes)
+	o.accessesN.Add(accesses)
 }
 
 // rowOf returns the park row of (lane, depth).
@@ -470,9 +457,8 @@ func (bp *BatchProber) materialize(row int) Session {
 // runs of lanes sharing a symbol step through the table in one StepBatchOut
 // pass over the contiguous state vector. Counters match the memo-less
 // session path: one probe per word, len + assoc·#Evct accesses.
-func (o *Oracle) batchedQueryNoMemo(sp *SimProber, words [][]int) ([][]int, error) {
-	n := sp.n
-	tab := sp.tab
+func (o *Oracle) batchedQueryNoMemo(tab *policy.Table, words [][]int) [][]int {
+	n := tab.Assoc()
 	L := len(words)
 	bt := policy.NewBatch(tab, L, o.cc0IDs)
 	out := make([][]int, L)
@@ -516,6 +502,46 @@ func (o *Oracle) batchedQueryNoMemo(sp *SimProber, words [][]int) ([][]int, erro
 	}
 	o.probesN.Add(int64(L))
 	o.accessesN.Add(accesses)
+	return out
+}
+
+// probeGroup executes independent reset-rooted probes as grouped
+// ProbeBatch calls with executeProbe's resilience: WithProbeVotes re-runs
+// the whole group and majority-votes each probe, and a transient group
+// failure is absorbed by re-executing the group's probes one by one
+// through the retry policy (the failed call does not say which probe
+// failed, and probes are idempotent).
+func (o *Oracle) probeGroup(ctx context.Context, bpr ProbeBatcher, qs [][]blocks.Block) ([]cache.Outcome, error) {
+	hits := make([]int, len(qs))
+	for v := 0; v < o.votes; v++ {
+		ocs, err := bpr.ProbeBatch(ctx, qs)
+		if err != nil && o.retry.enabled() && IsTransient(err) {
+			o.retriesN.Add(1)
+			ocs = make([]cache.Outcome, len(qs))
+			for i, q := range qs {
+				if ocs[i], err = o.retryProbe(ctx, q, false); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+		for i, oc := range ocs {
+			if oc == cache.Hit {
+				hits[i]++
+			}
+		}
+	}
+	out := make([]cache.Outcome, len(qs))
+	for i, h := range hits {
+		if h != 0 && h != o.votes {
+			o.disagreeN.Add(1)
+		}
+		if h*2 > o.votes {
+			out[i] = cache.Hit
+		}
+	}
 	return out, nil
 }
 
@@ -529,20 +555,30 @@ func (o *Oracle) findEvictedBatched(ctx context.Context, bpr ProbeBatcher, ic []
 	for i := 0; i < n; i++ {
 		qs[i] = append(append(make([]blocks.Block, 0, len(ic)+1), ic...), cc[i])
 	}
-	ocs, err := bpr.ProbeBatch(ctx, qs)
+	ocs, err := o.probeGroup(ctx, bpr, qs)
 	if err != nil {
 		return 0, err
 	}
-	evicted := -1
-	for i, poc := range ocs {
+	for _, q := range qs {
 		o.probesN.Add(1)
-		o.accessesN.Add(int64(len(qs[i])))
-		if poc == cache.Miss {
-			if evicted != -1 {
-				return 0, fmt.Errorf("%w: blocks %s and %s both evicted by one miss", ErrNondeterministic, cc[evicted], cc[i])
-			}
-			evicted = i
+		o.accessesN.Add(int64(len(q)))
+	}
+	return victim(ocs, func(i int) blocks.Block { return cc[i] })
+}
+
+// victim returns the one line whose eviction probe missed, or the
+// ErrNondeterministic any other number of misses amounts to; name(i)
+// names the block resident at line i.
+func victim(ocs []cache.Outcome, name func(int) blocks.Block) (int, error) {
+	evicted := -1
+	for i, oc := range ocs {
+		if oc != cache.Miss {
+			continue
 		}
+		if evicted != -1 {
+			return 0, fmt.Errorf("%w: blocks %s and %s both evicted by one miss", ErrNondeterministic, name(evicted), name(i))
+		}
+		evicted = i
 	}
 	if evicted == -1 {
 		return 0, fmt.Errorf("%w: no resident block evicted by a miss", ErrNondeterministic)
@@ -601,7 +637,7 @@ func (o *Oracle) findEvictedTrieBatched(ctx context.Context, bpr ProbeBatcher, i
 		for j, c := range claims {
 			sub[j] = qs[c.i]
 		}
-		res, err := bpr.ProbeBatch(ctx, sub)
+		res, err := o.probeGroup(ctx, bpr, sub)
 		groupErr = err
 		for j, c := range claims {
 			if err == nil {
@@ -635,23 +671,8 @@ func (o *Oracle) findEvictedTrieBatched(ctx context.Context, bpr ProbeBatcher, i
 	if groupErr != nil {
 		return 0, groupErr
 	}
-	check := func() (int, error) {
-		evicted := -1
-		for i := 0; i < n; i++ {
-			if ocs[i] == cache.Miss {
-				if evicted != -1 {
-					return 0, fmt.Errorf("%w: blocks %s and %s both evicted by one miss",
-						ErrNondeterministic, blocks.Interned(int(cc[evicted])), blocks.Interned(int(cc[i])))
-				}
-				evicted = i
-			}
-		}
-		if evicted == -1 {
-			return 0, fmt.Errorf("%w: no resident block evicted by a miss", ErrNondeterministic)
-		}
-		return evicted, nil
-	}
-	evicted, err := check()
+	name := func(i int) blocks.Block { return blocks.Interned(int(cc[i])) }
+	evicted, err := victim(ocs, name)
 	if err != nil {
 		// An inconsistent eviction group means at least one probe in it is
 		// wrong — re-measure the whole group serially (correcting the memo,
@@ -663,7 +684,7 @@ func (o *Oracle) findEvictedTrieBatched(ctx context.Context, bpr ProbeBatcher, i
 			}
 			ocs[i] = poc
 		}
-		evicted, err = check()
+		evicted, err = victim(ocs, name)
 	}
 	return evicted, err
 }

@@ -25,10 +25,11 @@ func chunk(words [][]int, sz int) [][][]int {
 	return out
 }
 
-// TestBatchedOracleMatchesSerial drives two oracles over the same compiled
-// prober — one batched, one per-session — through identical chunked query
-// streams and asserts bit-identical answers AND bit-identical cost
-// counters after every chunk. The stream deliberately mixes extension
+// TestBatchedOracleMatchesSerial drives two oracles through identical
+// chunked query streams — the batched engine over a compiled prober, and
+// the per-session path over an interpreted prober asked word by word —
+// and asserts bit-identical answers AND bit-identical cost counters after
+// every chunk. The stream deliberately mixes extension
 // words (suffix resume), in-batch prefix/extension dependencies, duplicate
 // words (in-batch memo), and a small session cap (LRU evictions dropping
 // placeholder parks), all under periodic determinism audits.
@@ -36,12 +37,12 @@ func TestBatchedOracleMatchesSerial(t *testing.T) {
 	for _, c := range tenPolicies {
 		t.Run(c.name, func(t *testing.T) {
 			for _, cap := range []int{0, 6} {
-				serial := NewOracle(NewSimProber(policy.MustNew(c.name, c.assoc)),
+				serial := NewOracle(NewInterpretedSimProber(policy.MustNew(c.name, c.assoc)),
 					WithSessionCap(cap), WithDeterminismChecks(3))
 				batched := NewOracle(NewSimProber(policy.MustNew(c.name, c.assoc)),
-					WithSessionCap(cap), WithDeterminismChecks(3), WithBatchedQueries())
-				if !batched.Batched() {
-					t.Fatal("WithBatchedQueries did not enable the batched engine")
+					WithSessionCap(cap), WithDeterminismChecks(3))
+				if batched.engine == nil {
+					t.Fatal("compiled prober is not served by the batched engine")
 				}
 				words := qstore.Enumerate(policy.NumInputs(c.assoc), 4)[1:]
 				// Duplicate a few words into the stream so batches carry
@@ -99,15 +100,15 @@ func TestBatchedOracleMatchesSerial(t *testing.T) {
 
 // TestBatchedNoMemoMatchesSerial pins the memo-less lockstep path (the
 // ablation-benchmark configuration): same answers, same counters as the
-// per-session WithoutMemo oracle.
+// per-session WithoutMemo oracle over an interpreted prober.
 func TestBatchedNoMemoMatchesSerial(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		assoc int
 	}{{"LRU", 4}, {"SRRIP-HP", 4}, {"New1", 4}, {"PLRU", 8}} {
 		t.Run(c.name, func(t *testing.T) {
-			serial := NewOracle(NewSimProber(policy.MustNew(c.name, c.assoc)), WithoutMemo())
-			batched := NewOracle(NewSimProber(policy.MustNew(c.name, c.assoc)), WithoutMemo(), WithBatchedQueries())
+			serial := NewOracle(NewInterpretedSimProber(policy.MustNew(c.name, c.assoc)), WithoutMemo())
+			batched := NewOracle(NewSimProber(policy.MustNew(c.name, c.assoc)), WithoutMemo())
 			words := qstore.Enumerate(policy.NumInputs(c.assoc), 4)[1:]
 			got, err := batched.OutputQueryBatch(context.Background(), words)
 			if err != nil {
@@ -132,11 +133,20 @@ func TestBatchedNoMemoMatchesSerial(t *testing.T) {
 }
 
 // TestBatchedInterpretedFallsBack: an interpreted prober has no kernel
-// table, so the batched option must quietly keep the per-session path.
+// table, so it keeps the per-session path — yet it advertises the same
+// constant batch hint as a compiled prober, so the learner chunks both
+// identically at any GOMAXPROCS — and a batch answers exactly as the same
+// words asked one by one.
 func TestBatchedInterpretedFallsBack(t *testing.T) {
-	o := NewOracle(NewInterpretedSimProber(policy.MustNew("LRU", 4)), WithBatchedQueries())
-	if o.BatchHint() != 1 && o.BatchHint() == batchedHint {
-		t.Fatal("interpreted prober advertises the lockstep batch hint")
+	o := NewOracle(NewInterpretedSimProber(policy.MustNew("LRU", 4)))
+	if o.engine != nil {
+		t.Fatal("interpreted prober got the batched engine")
+	}
+	if h := o.BatchHint(); h != batchedHint {
+		t.Fatalf("interpreted prober hints %d, want the constant %d", h, batchedHint)
+	}
+	if h := NewOracle(NewSimProber(policy.MustNew("LRU", 4))).BatchHint(); h != batchedHint {
+		t.Fatalf("compiled prober hints %d, want the constant %d", h, batchedHint)
 	}
 	words := qstore.Enumerate(policy.NumInputs(4), 3)[1:]
 	ref := NewOracle(NewInterpretedSimProber(policy.MustNew("LRU", 4)))
@@ -157,16 +167,17 @@ func TestBatchedInterpretedFallsBack(t *testing.T) {
 	}
 }
 
-// TestBatchedLearnEquivalence runs the full learner end to end on a serial
-// and a batched oracle with a pinned prefetch width: the learned machines
-// must be identical and the oracle counters bit-identical — the whole
-// learning trajectory, not just individual queries, is preserved.
+// TestBatchedLearnEquivalence runs the full learner end to end on a
+// per-session oracle (interpreted prober) and a batched one (compiled
+// prober) with a pinned prefetch width: the learned machines must be
+// identical and the oracle counters bit-identical — the whole learning
+// trajectory, not just individual queries, is preserved.
 func TestBatchedLearnEquivalence(t *testing.T) {
 	for _, name := range []string{"LRU", "SRRIP-HP", "New1"} {
 		t.Run(name, func(t *testing.T) {
 			opt := learn.Options{Depth: 1, BatchSize: 32}
-			serial := NewOracle(NewSimProber(policy.MustNew(name, 4)), WithParallelism(1))
-			batched := NewOracle(NewSimProber(policy.MustNew(name, 4)), WithBatchedQueries())
+			serial := NewOracle(NewInterpretedSimProber(policy.MustNew(name, 4)))
+			batched := NewOracle(NewSimProber(policy.MustNew(name, 4)))
 			rs, err := learn.Learn(context.Background(), serial, opt)
 			if err != nil {
 				t.Fatalf("serial learn: %v", err)

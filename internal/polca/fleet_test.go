@@ -89,7 +89,7 @@ var (
 // freezing at a constant.
 func TestBatchHintTracksFleetWidth(t *testing.T) {
 	f := &fakeFleet{inner: NewSimProber(policy.MustNew("LRU", 4)), width: 2}
-	o := NewOracle(f, WithBatchedQueries())
+	o := NewOracle(f)
 
 	h2 := o.BatchHint()
 	f.setWidth(8)
@@ -121,18 +121,19 @@ func TestBatchHintTracksFleetWidth(t *testing.T) {
 	}
 }
 
-// TestFleetTrieBatchedEvictionMatchesSerial: on the memoized trie path, a
-// batched oracle over a fleet-shaped prober groups each Evct's
-// associativity-many eviction probes into one ProbeBatch call, and its
-// answers, memo sizes and counters are identical to the serial loop's.
+// TestFleetTrieBatchedEvictionMatchesSerial: on the memoized trie path, an
+// oracle over a fleet-shaped prober groups each Evct's associativity-many
+// eviction probes into one ProbeBatch call, and its answers, memo sizes
+// and counters are identical to the serial loop's — taken by an oracle
+// that sees the same prober through SlowProber, which hides ProbeBatch.
 func TestFleetTrieBatchedEvictionMatchesSerial(t *testing.T) {
 	mk := func() *fakeFleet {
 		return &fakeFleet{inner: NewSimProber(policy.MustNew("PLRU", 4)), width: 4}
 	}
 	grouped := mk()
 	serial := mk()
-	og := NewOracle(grouped, WithBatchedQueries())
-	os := NewOracle(serial)
+	og := NewOracle(grouped)
+	os := NewOracle(SlowProber{P: serial})
 
 	words := [][]int{
 		{4, 4, 0, 4},

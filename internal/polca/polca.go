@@ -75,8 +75,9 @@ type Session interface {
 // the quadratic prefix replay of the plain Probe interface; the observable
 // behaviour is identical for deterministic caches.
 //
-// NewSession must be safe for concurrent use: batched output queries open
-// one session per query word on parallel goroutines.
+// Forking is not a concurrency source: the oracle never fans a forking
+// prober's batches out over goroutines. NewSession must still be safe for
+// concurrent use, as callers sharing one oracle may query it at once.
 type ForkingProber interface {
 	Prober
 	NewSession() (Session, error)
@@ -110,10 +111,10 @@ func evictionProbe(sess Session, b blocks.Block) (cache.Outcome, error) {
 
 // ConcurrentProber marks a Prober whose Probe method is safe for concurrent
 // use (e.g. cachequery.ParallelProber, which multiplexes probes over a pool
-// of independent CPU replicas). The oracle answers batched output queries on
-// parallel goroutines only for forking or concurrent probers; anything else
-// — notably a bare hardware interface pinned to one core — is served
-// serially, preserving correctness by default.
+// of independent CPU replicas, or a remote worker fleet). The oracle answers
+// batched output queries on parallel goroutines only for concurrent
+// probers; anything else — notably a bare hardware interface pinned to one
+// core — is served serially, preserving correctness by default.
 type ConcurrentProber interface {
 	Prober
 	// ConcurrentProbes reports whether Probe may be called concurrently.
@@ -159,24 +160,23 @@ type Stats struct {
 // WithoutTrie restores the flat exact-match memo for the ablation
 // benchmarks.
 //
-// The oracle is safe for concurrent use and implements learn.BatchTeacher:
-// independent query words of a batch are answered on parallel goroutines
-// whenever the prober supports it (ForkingProber sessions, or a
-// ConcurrentProber such as a replicated hardware interface). The stores are
-// lock-striped — one shard per leading input symbol by default — so batched
-// workers recording answers in different subtrees never contend on a single
-// oracle mutex (WithStoreStripes(1) restores that behaviour for the
-// contention benchmarks); the cost counters are atomics, touched lock-free
-// on the hot path.
+// The oracle is safe for concurrent use and implements learn.BatchTeacher.
+// A compiled SimProber answers every query on the batched engine
+// (batch.go) under one per-oracle mutex, so its answers and counters do
+// not depend on the callers' goroutines or on GOMAXPROCS; an interpreted
+// one answers word by word. Only a ConcurrentProber (a hardware replica
+// pool, a remote fleet) has the words of a batch fanned out over
+// goroutines. The stores are lock-striped — one shard per leading input
+// symbol by default (WithStoreStripes(1) collapses them for the
+// contention benchmarks) — and the cost counters are lock-free atomics.
 type Oracle struct {
 	prober  Prober
 	cc0     []blocks.Block
 	cc0IDs  []int32 // dense universe indices of cc0
 	recheck int     // re-run every recheck-th query to detect nondeterminism
-	workers int     // parallel batch width (defaults to GOMAXPROCS)
+	workers int     // concurrent-prober fan-out width (defaults to GOMAXPROCS)
 	useMemo bool
 	useTrie bool
-	batched bool // SoA batched query engine (see batch.go)
 	sessCap int
 	stripes int // lock stripes per store (0 = one per input symbol)
 
@@ -208,6 +208,8 @@ type Oracle struct {
 	pt     *qstore.Store[int32, probeVal] // block-level probe memo + single-flight
 	lru    []lruList                      // per-shard parked-session LRU (see store.go)
 	lruCap int                            // parked-session budget per shard
+
+	engine *BatchProber // batched engine of a compiled SimProber (batch.go), nil otherwise
 }
 
 // inflightProbe is a single-flight slot: the first goroutine to miss the
@@ -271,8 +273,9 @@ func WithDeterminismChecks(n int) Option {
 }
 
 // WithParallelism caps the number of goroutines a batched output query may
-// fan out over. n <= 0 restores the default, runtime.GOMAXPROCS(0); n == 1
-// forces serial batch answering.
+// fan out over a ConcurrentProber. n <= 0 restores the default — the live
+// fleet width for a fleet, runtime.GOMAXPROCS(0) otherwise; n == 1 forces
+// serial batch answering.
 func WithParallelism(n int) Option {
 	return func(o *Oracle) { o.workers = n }
 }
@@ -375,6 +378,10 @@ func NewOracle(p Prober, opts ...Option) *Oracle {
 			o.lruCap = 1
 		}
 	}
+	if sp, ok := p.(*SimProber); ok && sp.tab != nil && (o.trieOn() || !o.useMemo) {
+		// The flat-memo ablation (WithoutTrie) keeps its serial trajectory.
+		o.engine = newBatchProber(o, sp)
+	}
 	return o
 }
 
@@ -417,13 +424,13 @@ func (o *Oracle) StoreFootprint() (outNodes, probeNodes int) {
 
 // BatchHint implements learn.BatchHinter (duck-typed to avoid an import
 // cycle with package learn's tests): the learner scales its prefetch chunks
-// to the oracle's usable parallelism, so a serial prober keeps the exact
-// serial query trajectory. A batched oracle over a compiled simulator
-// instead advertises a fixed lockstep width: planning whole chunks against
-// the store pays off independently of goroutine parallelism. A fleet-backed
-// prober scales the hint to the live fleet width (slots per worker times
-// healthy workers), re-read on every call so chunks widen again when a
-// quarantined worker is re-admitted.
+// to the hint. Every SimProber, compiled or interpreted, advertises the
+// constant batchedHint, so the learner's chunking — and with it every
+// counter — is independent of GOMAXPROCS. A fleet-backed prober scales the
+// hint to the live fleet width (slots per worker times healthy workers),
+// re-read on every call so chunks widen again when a quarantined worker is
+// re-admitted. Any other prober advertises its usable parallelism, so a
+// serial prober keeps the exact serial query trajectory.
 func (o *Oracle) BatchHint() int {
 	if w := o.fleetWidth(); w > 0 {
 		h := w * fleetDepth
@@ -432,26 +439,18 @@ func (o *Oracle) BatchHint() int {
 		}
 		return h
 	}
-	if o.batched {
-		if sp, ok := o.prober.(*SimProber); ok && sp.tab != nil {
-			return batchedHint
-		}
+	if _, ok := o.prober.(*SimProber); ok {
+		return batchedHint
 	}
 	return o.parallelism()
 }
 
 // parallelism reports how many goroutines a batch may use against the
-// underlying prober: 1 unless the prober explicitly supports concurrency.
-// A fleet-backed prober gets one goroutine per live fleet slot — the work
+// underlying prober: 1 unless the prober is a ConcurrentProber. A
+// fleet-backed prober gets one goroutine per live fleet slot — the work
 // is I/O bound, so local CPU count is the wrong ceiling.
 func (o *Oracle) parallelism() int {
-	concurrent := false
-	if _, ok := o.prober.(ForkingProber); ok {
-		concurrent = true
-	} else if cp, ok := o.prober.(ConcurrentProber); ok && cp.ConcurrentProbes() {
-		concurrent = true
-	}
-	if !concurrent {
+	if cp, ok := o.prober.(ConcurrentProber); !ok || !cp.ConcurrentProbes() {
 		return 1
 	}
 	if o.workers > 0 {
@@ -654,7 +653,29 @@ func Missed() cache.Outcome { return cache.Miss }
 // output word: policy.Bottom for every Ln input and the evicted line for
 // every Evct input. This is the oracle the learner consumes; Membership
 // (Algorithm 1 verbatim) is a comparison on top of it.
+//
+// On a compiled simulator the word is answered as a batch of one on the
+// batched engine, under the same lock as every other query of the oracle.
 func (o *Oracle) OutputQuery(ctx context.Context, word []int) ([]int, error) {
+	if o.engine != nil {
+		out, err := o.engine.query(ctx, [][]int{word})
+		if err != nil {
+			return nil, err
+		}
+		return out[0], nil
+	}
+	out, err := o.queryWord(ctx, word)
+	if err != nil {
+		return nil, err
+	}
+	o.maybeCheckpoint()
+	return out, nil
+}
+
+// queryWord answers one output query on the word-at-a-time paths: it
+// issues the query's sequence number and symbol count, and runs the
+// determinism audit when the sequence number is due.
+func (o *Oracle) queryWord(ctx context.Context, word []int) ([]int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -664,33 +685,41 @@ func (o *Oracle) OutputQuery(ctx context.Context, word []int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.recheck > 0 && seq%o.recheck == 0 && len(word) > 0 {
-		// Determinism audit: memoization must be bypassed, otherwise the
-		// first answer would simply be replayed.
-		again, err := o.outputQueryOnce(ctx, word, true)
-		if err != nil {
-			return nil, err
-		}
-		for i := range out {
-			if out[i] != again[i] {
-				return nil, fmt.Errorf("%w: repeated query diverged at position %d (%d vs %d)",
-					ErrNondeterministic, i, out[i], again[i])
-			}
-		}
+	if err := o.audit(ctx, seq, word, out); err != nil {
+		return nil, err
 	}
-	o.maybeCheckpoint()
 	return out, nil
 }
 
+// audit is the determinism audit of WithDeterminismChecks: when seq is due,
+// the word is re-executed with memoization bypassed (otherwise the first
+// answer would simply be replayed) and must reproduce out.
+func (o *Oracle) audit(ctx context.Context, seq int, word, out []int) error {
+	if o.recheck <= 0 || seq%o.recheck != 0 || len(word) == 0 {
+		return nil
+	}
+	again, err := o.outputQueryOnce(ctx, word, true)
+	if err != nil {
+		return err
+	}
+	for i := range out {
+		if out[i] != again[i] {
+			return fmt.Errorf("%w: repeated query diverged at position %d (%d vs %d)",
+				ErrNondeterministic, i, out[i], again[i])
+		}
+	}
+	return nil
+}
+
 // OutputQueryBatch implements learn.BatchTeacher: it answers len(words)
-// independent output queries, fanning them out across a worker pool when the
-// prober supports concurrent probing (forking simulator sessions or a
-// replicated hardware interface) and falling back to a serial loop
-// otherwise. Answers, memo contents and counters are identical to asking the
-// words one by one; only the wall-clock cost changes.
+// independent output queries. A compiled simulator answers the whole batch
+// on the batched engine; a ConcurrentProber fans the words out across a
+// worker pool; everything else answers them in a serial loop. Answers,
+// memo contents and counters are identical to asking the words one by one
+// in order; only the wall-clock cost changes.
 func (o *Oracle) OutputQueryBatch(ctx context.Context, words [][]int) ([][]int, error) {
-	if out, done, err := o.tryBatchedKernel(ctx, words); done {
-		return out, err
+	if o.engine != nil {
+		return o.engine.query(ctx, words)
 	}
 	workers := o.parallelism()
 	if workers > len(words) {
@@ -834,37 +863,27 @@ func (o *Oracle) mapOutputProbes(ctx context.Context, ip int, oc cache.Outcome, 
 			return 0, fmt.Errorf("%w: access to fresh block %s hit", ErrNondeterministic, ic[len(ic)-1])
 		}
 	}
-	if bpr, ok := o.prober.(ProbeBatcher); ok && o.batched && !fresh && !o.useMemo {
-		// Unmemoized eviction probes are independent; a batched oracle over
-		// a replica pool issues them in one grouped call. The memoized and
-		// audit paths keep the serial loop (their bookkeeping is per probe).
+	if bpr, ok := o.prober.(ProbeBatcher); ok && !fresh && !o.useMemo {
+		// Unmemoized eviction probes are independent; over a replica pool
+		// they go out in one grouped call. The memoized and audit paths keep
+		// the serial loop (their bookkeeping is per probe).
 		return o.findEvictedBatched(ctx, bpr, ic, cc)
 	}
+	ocs := make([]cache.Outcome, n)
 	scan := func(refresh bool) (int, error) {
-		evicted := -1
-		for i := 0; i < n; i++ {
+		for i := range ocs {
 			probe := append(append([]blocks.Block(nil), ic...), cc[i])
-			var poc cache.Outcome
 			var err error
 			if refresh {
-				poc, err = o.reprobe(ctx, probe, nil)
+				ocs[i], err = o.reprobe(ctx, probe, nil)
 			} else {
-				poc, err = o.probe(ctx, probe, nil, fresh)
+				ocs[i], err = o.probe(ctx, probe, nil, fresh)
 			}
 			if err != nil {
 				return 0, err
 			}
-			if poc == cache.Miss {
-				if evicted != -1 {
-					return 0, fmt.Errorf("%w: blocks %s and %s both evicted by one miss", ErrNondeterministic, cc[evicted], cc[i])
-				}
-				evicted = i
-			}
 		}
-		if evicted == -1 {
-			return 0, fmt.Errorf("%w: no resident block evicted by a miss", ErrNondeterministic)
-		}
-		return evicted, nil
+		return victim(ocs, func(i int) blocks.Block { return cc[i] })
 	}
 	evicted, err := scan(false)
 	if err != nil && errors.Is(err, ErrNondeterministic) && !fresh {
@@ -882,6 +901,7 @@ func (o *Oracle) outputQuerySessions(fp ForkingProber, word []int) ([]int, error
 	n := fp.Assoc()
 	cc := append([]blocks.Block(nil), o.cc0...)
 	out := make([]int, len(word))
+	ocs := make([]cache.Outcome, n)
 
 	sess, err := fp.NewSession()
 	if err != nil {
@@ -914,22 +934,15 @@ func (o *Oracle) outputQuerySessions(fp ForkingProber, word []int) ([]int, error
 		if oc != cache.Miss {
 			return nil, fmt.Errorf("%w: access to fresh block %s hit", ErrNondeterministic, b)
 		}
-		evicted := -1
-		for j := 0; j < n; j++ {
-			poc, err := evictionProbe(sess, cc[j])
-			if err != nil {
+		for j := range ocs {
+			if ocs[j], err = evictionProbe(sess, cc[j]); err != nil {
 				return nil, err
 			}
-			accesses++
-			if poc == cache.Miss {
-				if evicted != -1 {
-					return nil, fmt.Errorf("%w: blocks %s and %s both evicted by one miss", ErrNondeterministic, cc[evicted], cc[j])
-				}
-				evicted = j
-			}
 		}
-		if evicted == -1 {
-			return nil, fmt.Errorf("%w: no resident block evicted by a miss", ErrNondeterministic)
+		accesses += n
+		evicted, err := victim(ocs, func(j int) blocks.Block { return cc[j] })
+		if err != nil {
+			return nil, err
 		}
 		cc[evicted] = b
 		out[i] = evicted
@@ -1017,6 +1030,7 @@ func (o *Oracle) sessionQueryTrie(fp ForkingProber, word []int) ([]int, error) {
 	out := make([]int, len(word))
 	cc := append([]int32(nil), o.cc0IDs...)
 	feed := make([]int32, 0, len(word))
+	ocs := make([]cache.Outcome, n)
 
 	sh := o.out.Acquire(word)
 	k, _, feed, resume, resumeDepth, err := o.walkKnownPrefix(sh, word, out, cc, feed)
@@ -1091,23 +1105,15 @@ func (o *Oracle) sessionQueryTrie(fp ForkingProber, word []int) ([]int, error) {
 			if oc != cache.Miss {
 				return nil, fmt.Errorf("%w: access to fresh block %s hit", ErrNondeterministic, blocks.Interned(int(b)))
 			}
-			evicted := -1
-			for j := 0; j < n; j++ {
-				poc, err := evictionProbe(sess, blocks.Interned(int(cc[j])))
-				if err != nil {
+			for j := range ocs {
+				if ocs[j], err = evictionProbe(sess, blocks.Interned(int(cc[j]))); err != nil {
 					return nil, err
 				}
-				accesses++
-				if poc == cache.Miss {
-					if evicted != -1 {
-						return nil, fmt.Errorf("%w: blocks %s and %s both evicted by one miss",
-							ErrNondeterministic, blocks.Interned(int(cc[evicted])), blocks.Interned(int(cc[j])))
-					}
-					evicted = j
-				}
 			}
-			if evicted == -1 {
-				return nil, fmt.Errorf("%w: no resident block evicted by a miss", ErrNondeterministic)
+			accesses += n
+			evicted, err := victim(ocs, func(j int) blocks.Block { return blocks.Interned(int(cc[j])) })
+			if err != nil {
+				return nil, err
 			}
 			cc[evicted] = b
 			out[i] = evicted
@@ -1172,10 +1178,10 @@ func (o *Oracle) probesQueryTrie(ctx context.Context, word []int) ([]int, error)
 }
 
 // mapOutputTrie maps a cache outcome back to a policy output on the trie
-// probe path, issuing the findEvicted probes by block id. On a batched
-// oracle over a ProbeBatcher (a remote fleet, a replica pool) the
-// eviction-probe group ships as one grouped call with identical memo and
-// counter bookkeeping — see findEvictedTrieBatched.
+// probe path, issuing the findEvicted probes by block id. Over a
+// ProbeBatcher (a remote fleet, a replica pool) the eviction-probe group
+// ships as one grouped call with identical memo and counter bookkeeping —
+// see findEvictedTrieBatched.
 func (o *Oracle) mapOutputTrie(ctx context.Context, ip int, oc cache.Outcome, ic []int32, icN []blocks.Block, cc []int32) (int, error) {
 	n := o.prober.Assoc()
 	if ip < n { // Ln(i): the block is cached, the access must hit
@@ -1201,36 +1207,25 @@ func (o *Oracle) mapOutputTrie(ctx context.Context, ip int, oc cache.Outcome, ic
 			return 0, fmt.Errorf("%w: access to fresh block %s hit", ErrNondeterministic, icN[len(icN)-1])
 		}
 	}
-	if bpr, ok := o.prober.(ProbeBatcher); ok && o.batched {
+	if bpr, ok := o.prober.(ProbeBatcher); ok {
 		return o.findEvictedTrieBatched(ctx, bpr, ic, icN, cc)
 	}
+	ocs := make([]cache.Outcome, n)
 	scan := func(refresh bool) (int, error) {
-		evicted := -1
-		for i := 0; i < n; i++ {
+		for i := range ocs {
 			pids := append(append([]int32(nil), ic...), cc[i])
 			pN := append(append([]blocks.Block(nil), icN...), blocks.Interned(int(cc[i])))
-			var poc cache.Outcome
 			var err error
 			if refresh {
-				poc, err = o.reprobe(ctx, pN, pids)
+				ocs[i], err = o.reprobe(ctx, pN, pids)
 			} else {
-				poc, err = o.probe(ctx, pN, pids, false)
+				ocs[i], err = o.probe(ctx, pN, pids, false)
 			}
 			if err != nil {
 				return 0, err
 			}
-			if poc == cache.Miss {
-				if evicted != -1 {
-					return 0, fmt.Errorf("%w: blocks %s and %s both evicted by one miss",
-						ErrNondeterministic, blocks.Interned(int(cc[evicted])), blocks.Interned(int(cc[i])))
-				}
-				evicted = i
-			}
 		}
-		if evicted == -1 {
-			return 0, fmt.Errorf("%w: no resident block evicted by a miss", ErrNondeterministic)
-		}
-		return evicted, nil
+		return victim(ocs, func(i int) blocks.Block { return blocks.Interned(int(cc[i])) })
 	}
 	evicted, err := scan(false)
 	if err != nil && errors.Is(err, ErrNondeterministic) {

@@ -15,15 +15,16 @@ import (
 // kept for the ablation benchmarks.
 //
 // By default the policy is compiled into a dense transition table
-// (policy.Compile) and the prober runs on the compiled kernel: sessions are
-// copyable (int32 state, content) values, so forking one — the oracle forks
-// at every miss for the eviction probes, and parks forks at store nodes for
-// prefix resume — copies one int and one small slice instead of deep-cloning
-// a policy object. Policies the kernel cannot compile (state spaces over the
+// (policy.Compile), and the oracle answers every query on its batched
+// engine (batch.go), stepping the table directly. The prober's sessions
+// are copyable (int32 state, content) values: they are what the engine
+// parks at store nodes for prefix resume, and what the determinism audit
+// replays. Policies the kernel cannot compile (state spaces over the
 // bound, or contract violations like policy.Random) silently keep the
-// interpreted path; trajectories and learned machines are bit-identical
-// either way. NewInterpretedSimProber forces the interpreted path for the
-// kernel ablation benchmarks.
+// interpreted path, on which the oracle answers word by word and forks a
+// deep-cloned policy per parked session; trajectories and learned machines
+// are bit-identical either way. NewInterpretedSimProber forces the
+// interpreted path for the kernel ablation benchmarks.
 type SimProber struct {
 	set *cache.Set    // interpreted path (nil when the compiled kernel is active)
 	tab *policy.Table // compiled kernel
@@ -53,11 +54,6 @@ func NewInterpretedSimProber(pol policy.Policy) *SimProber {
 
 // Compiled reports whether the prober runs on the compiled policy kernel.
 func (p *SimProber) Compiled() bool { return p.tab != nil }
-
-// KernelTable returns the compiled transition table driving this prober's
-// sessions, or nil on the interpreted path. The batched SoA query engine
-// (WithBatchedQueries) requires it: lanes advance by direct table stepping.
-func (p *SimProber) KernelTable() *policy.Table { return p.tab }
 
 // Assoc implements Prober.
 func (p *SimProber) Assoc() int { return p.n }
@@ -108,8 +104,8 @@ func (p *SimProber) ProbeTrace(ctx context.Context, q []blocks.Block) ([]cache.O
 }
 
 // NewSession implements ForkingProber. Kernel sessions are independent
-// values over the shared immutable table, so this is safe for the oracle's
-// concurrent batched queries on both paths.
+// values over the shared immutable table, so this is safe for concurrent
+// callers on both paths.
 func (p *SimProber) NewSession() (Session, error) {
 	if p.tab != nil {
 		s := &kernelSession{tab: p.tab, state: p.tab.InitState(), content: append([]blocks.Block(nil), p.cc0...)}

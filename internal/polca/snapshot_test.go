@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/learn"
 	"repro/internal/policy"
 )
 
@@ -154,4 +155,54 @@ func TestSnapshotRequiresTrieEngine(t *testing.T) {
 	if err := flat.LoadSnapshot(bytes.NewReader(nil), "s"); err == nil {
 		t.Fatal("flat-memo oracle loaded a snapshot")
 	}
+}
+
+// TestCheckpointCadenceOnBatchedEngine: a compiled, fault-free learn —
+// every query answered by the batched engine — must fire the checkpoint
+// hook as it goes: at least once, at most once per batch, and each time in
+// a new window of the cadence. The crash-resume tests drive their learns
+// through a fault injector, which takes the reset-rooted probe path, so
+// they cannot see this path losing its checkpoints.
+func TestCheckpointCadenceOnBatchedEngine(t *testing.T) {
+	const every = 64
+	o := NewOracle(NewSimProber(policy.MustNew("LRU", 4)))
+	var windows []int
+	o.SetCheckpointer(every, func() {
+		windows = append(windows, o.Stats().OutputQueries/every)
+	})
+	calls := 0
+	res, err := learn.Learn(context.Background(), batchCounter{o, &calls}, learn.Options{Depth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Machine.NumStates != 24 {
+		t.Fatalf("learned %d states, want 24 (LRU-4)", res.Machine.NumStates)
+	}
+	if len(windows) == 0 {
+		t.Fatalf("%d output queries answered, no checkpoint fired", o.Stats().OutputQueries)
+	}
+	if len(windows) > calls {
+		t.Errorf("%d checkpoints for %d oracle calls, want at most one per call", len(windows), calls)
+	}
+	for i := 1; i < len(windows); i++ {
+		if windows[i] <= windows[i-1] {
+			t.Fatalf("checkpoint %d fired in window %d, not after window %d", i, windows[i], windows[i-1])
+		}
+	}
+}
+
+// batchCounter forwards to an oracle, counting its query calls.
+type batchCounter struct {
+	*Oracle
+	calls *int
+}
+
+func (b batchCounter) OutputQuery(ctx context.Context, w []int) ([]int, error) {
+	*b.calls++
+	return b.Oracle.OutputQuery(ctx, w)
+}
+
+func (b batchCounter) OutputQueryBatch(ctx context.Context, ws [][]int) ([][]int, error) {
+	*b.calls++
+	return b.Oracle.OutputQueryBatch(ctx, ws)
 }

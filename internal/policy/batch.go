@@ -72,17 +72,23 @@ func NewBatch(t *Table, lanes int, cc0 []int32) *Batch {
 	if len(cc0) != t.assoc {
 		panic(fmt.Sprintf("policy: initial content has %d lines, associativity is %d", len(cc0), t.assoc))
 	}
-	b := &Batch{
-		tab:   t,
-		assoc: t.assoc,
-		cc0:   append([]int32(nil), cc0...),
-		state: make([]int32, lanes),
-		cont:  make([]int32, lanes*t.assoc),
+	b := &Batch{tab: t, assoc: t.assoc, cc0: append([]int32(nil), cc0...)}
+	b.Reset(lanes)
+	return b
+}
+
+// Reset resizes the block to lanes sessions, each rewound to the initial
+// state and content, reusing the block's storage when it is large enough.
+func (b *Batch) Reset(lanes int) {
+	if cap(b.state) < lanes {
+		b.state = make([]int32, lanes)
+		b.cont = make([]int32, lanes*b.assoc)
 	}
+	b.state = b.state[:lanes]
+	b.cont = b.cont[:lanes*b.assoc]
 	for l := 0; l < lanes; l++ {
 		b.ResetLane(l)
 	}
-	return b
 }
 
 // Table returns the shared transition table.
