@@ -61,7 +61,7 @@ func BenchmarkTable2(b *testing.B) {
 	for _, c := range cases {
 		b.Run(fmt.Sprintf("%s-%d", c.name, c.assoc), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				row := experiments.RunTable2Row(context.Background(), c.name, c.assoc)
+				row := experiments.RunTable2Row(context.Background(), c.name, c.assoc, experiments.Table2Options{})
 				if !row.Verified {
 					b.Fatalf("row failed: %+v", row)
 				}
@@ -202,7 +202,7 @@ func BenchmarkBaselines(b *testing.B) {
 	})
 	b.Run("learning-MRU4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.LearnSimulated(context.Background(), "MRU", 4, learn.Options{Depth: 1}); err != nil {
+			if _, err := core.LearnSimulatedSim(context.Background(), "MRU", 4, learn.Options{Depth: 1}, core.SnapshotOptions{}, core.SimOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -227,100 +227,6 @@ func BenchmarkAblationSuite(b *testing.B) {
 				b.ReportMetric(float64(res.Stats.TestWords), "testwords/op")
 			}
 		})
-	}
-}
-
-// BenchmarkAblationMemo quantifies the probe memoization of §4.2 (the
-// LevelDB layer): learning LRU-4 through reset-rooted probes with and
-// without the flat memo table, against the trie engine on the same prober
-// class (forking sessions, prefix resume).
-func BenchmarkAblationMemo(b *testing.B) {
-	run := func(b *testing.B, slow bool, lopt learn.Options, opts ...polca.Option) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var prober polca.Prober = polca.NewSimProber(policy.MustNew("LRU", 4))
-			if slow {
-				prober = polca.SlowProber{P: polca.NewSimProber(policy.MustNew("LRU", 4))}
-			}
-			oracle := polca.NewOracle(prober, opts...)
-			if _, err := learn.Learn(context.Background(), oracle, lopt); err != nil {
-				b.Fatal(err)
-			}
-			st := oracle.Stats()
-			b.ReportMetric(float64(st.Probes), "probes/op")
-			b.ReportMetric(float64(st.Accesses), "accesses/op")
-		}
-	}
-	flat := learn.Options{Depth: 1, FlatMemo: true}
-	b.Run("memo", func(b *testing.B) { run(b, true, flat, polca.WithoutTrie()) })
-	b.Run("nomemo", func(b *testing.B) { run(b, true, flat, polca.WithoutMemo()) })
-	b.Run("trie", func(b *testing.B) { run(b, false, learn.Options{Depth: 1}) })
-}
-
-// BenchmarkAblationTrie quantifies the prefix-tree query engine layer by
-// layer on harder policies: "nomemo" re-executes every probe, "flat" is the
-// §4.2 exact-match memo, "sessions" is the unmemoized incremental session
-// path, and "trie" is the full engine — trie-memoized outputs, parked
-// resumable sessions, and the prefix-sharing learner memo. Every leg
-// verifies the learned machine against the extracted ground truth.
-//
-// Compare legs on probes/op and accesses/op. memohits/op units differ by
-// leg — whole probes on the flat path, word symbols on the trie paths (see
-// polca.Stats) — so it only tracks each leg against its own history.
-func BenchmarkAblationTrie(b *testing.B) {
-	cases := []struct {
-		name  string
-		assoc int
-		heavy bool // too slow for unmemoized reset-rooted replay
-	}{
-		{"LRU", 4, false}, {"SRRIP-FP", 4, true}, {"New1", 4, true},
-	}
-	type leg struct {
-		name string
-		mk   func(name string, assoc int) polca.Prober
-		opts []polca.Option
-		lopt learn.Options
-	}
-	slowProber := func(name string, assoc int) polca.Prober {
-		return polca.SlowProber{P: polca.NewSimProber(policy.MustNew(name, assoc))}
-	}
-	fastProber := func(name string, assoc int) polca.Prober {
-		return polca.NewSimProber(policy.MustNew(name, assoc))
-	}
-	flat := learn.Options{Depth: 1, FlatMemo: true}
-	legs := []leg{
-		{"nomemo", slowProber, []polca.Option{polca.WithoutMemo()}, flat},
-		{"flat", slowProber, []polca.Option{polca.WithoutTrie()}, flat},
-		{"sessions", fastProber, []polca.Option{polca.WithoutTrie()}, flat},
-		{"trie", fastProber, nil, learn.Options{Depth: 1}},
-	}
-	for _, c := range cases {
-		truth, err := mealy.FromPolicy(policy.MustNew(c.name, c.assoc), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, l := range legs {
-			b.Run(fmt.Sprintf("%s-%d/%s", c.name, c.assoc, l.name), func(b *testing.B) {
-				if c.heavy && l.name == "nomemo" && testing.Short() {
-					b.Skip("unmemoized reset-rooted replay on a 160-state policy; run without -short")
-				}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					oracle := polca.NewOracle(l.mk(c.name, c.assoc), l.opts...)
-					res, err := learn.Learn(context.Background(), oracle, l.lopt)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if eq, ce := res.Machine.Equivalent(truth); !eq {
-						b.Fatalf("learned machine differs from ground truth, ce=%v", ce)
-					}
-					st := oracle.Stats()
-					b.ReportMetric(float64(st.Probes), "probes/op")
-					b.ReportMetric(float64(st.Accesses), "accesses/op")
-					b.ReportMetric(float64(st.MemoHits), "memohits/op")
-				}
-			})
-		}
 	}
 }
 
@@ -436,18 +342,17 @@ func BenchmarkAblationAlgo(b *testing.B) {
 // store from 8 goroutines with a mixed read/write load over the LRU-4
 // policy alphabet — stripes=1 is the single-mutex configuration the
 // pre-qstore oracle was stuck with, striped is the default one-shard-per-
-// input-symbol layout. The learn legs run the same comparison end to end,
-// learning New1-4 on a single-lock oracle (polca.WithStoreStripes(1))
-// versus the striped default.
+// input-symbol layout. The learn leg learns New1-4 end to end on the
+// oracle's striped stores.
 //
 // The store legs' wall-clock gap is a function of real cores: on a
 // single-core machine they coincide (8 goroutines time-slice one CPU, so
 // no lock is ever contended for long), and the striping gain materializes
 // on multi-core runners. A compiled simulator answers every query on the
-// batched engine under one oracle lock, so the learn legs do not contend:
-// they pin that striping costs that serial path nothing.
-// The deterministic counters (probes/op, B/op) are identical by
-// construction — striping must never change the work, only the waiting.
+// batched engine under one oracle lock, so the learn leg does not contend;
+// it pins the cost of the striped stores on that serial path. The
+// deterministic counters (probes/op, B/op) are identical by construction —
+// striping must never change the work, only the waiting.
 func BenchmarkStoreParallel(b *testing.B) {
 	words := qstore.Enumerate(5, 6)[1:]
 	store := func(b *testing.B, stripes int) {
@@ -519,10 +424,10 @@ func BenchmarkStoreParallel(b *testing.B) {
 	b.Run("store/fastpath/trie-only", func(b *testing.B) { fastpath(b, false) })
 	b.Run("store/fastpath/bloom", func(b *testing.B) { fastpath(b, true) })
 
-	learnLeg := func(b *testing.B, opts ...polca.Option) {
+	b.Run("learn-New1-4/striped", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			oracle := polca.NewOracle(polca.NewSimProber(policy.MustNew("New1", 4)), opts...)
+			oracle := polca.NewOracle(polca.NewSimProber(policy.MustNew("New1", 4)))
 			res, err := learn.Learn(context.Background(), oracle, learn.Options{Depth: 1})
 			if err != nil {
 				b.Fatal(err)
@@ -532,9 +437,7 @@ func BenchmarkStoreParallel(b *testing.B) {
 			}
 			b.ReportMetric(float64(oracle.Stats().Probes), "probes/op")
 		}
-	}
-	b.Run("learn-New1-4/single-mutex", func(b *testing.B) { learnLeg(b, polca.WithStoreStripes(1)) })
-	b.Run("learn-New1-4/striped", func(b *testing.B) { learnLeg(b) })
+	})
 }
 
 // BenchmarkSnapshotWarm quantifies warm-started learning: a cold run
@@ -585,7 +488,7 @@ func BenchmarkAblationPolca(b *testing.B) {
 	b.Run("polca-LRU4", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := core.LearnSimulated(context.Background(), "LRU", 4, learn.Options{Depth: 1})
+			res, err := core.LearnSimulatedSim(context.Background(), "LRU", 4, learn.Options{Depth: 1}, core.SnapshotOptions{}, core.SimOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -642,7 +545,7 @@ func BenchmarkAblationDepth(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", depth), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := core.LearnSimulated(context.Background(), "MRU", 4, learn.Options{Depth: depth})
+				res, err := core.LearnSimulatedSim(context.Background(), "MRU", 4, learn.Options{Depth: depth}, core.SnapshotOptions{}, core.SimOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -122,7 +122,9 @@ func runTable2(ctx context.Context, args []string) error {
 			fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
 		}
 	}
-	rows := experiments.RunTable2ConcurrentSim(ctx, spec, *concurrency, opt, *snapshotDir, sim)
+	rows := experiments.RunTable2(ctx, spec, experiments.Table2Options{
+		Learn: opt, SnapshotDir: *snapshotDir, Sim: sim, Concurrency: *concurrency,
+	})
 	experiments.Table2Table(rows).Render(os.Stdout)
 	return nil
 }

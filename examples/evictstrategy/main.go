@@ -25,7 +25,7 @@ import (
 
 func main() {
 	for _, name := range []string{"LRU", "PLRU", "New1", "New2"} {
-		res, err := core.LearnSimulated(context.Background(), name, 4, learn.Options{Depth: 1})
+		res, err := core.LearnSimulatedSim(context.Background(), name, 4, learn.Options{Depth: 1}, core.SnapshotOptions{}, core.SimOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -225,30 +225,6 @@ func (o SimOptions) SimProber(pol policy.Policy) *polca.SimProber {
 	return polca.NewSimProber(pol)
 }
 
-// LearnSimulated learns a named policy of the given associativity from a
-// software-simulated cache (the §6 case study). The Polca oracle implements
-// learn.BatchTeacher: the learner's observation-table rows (or
-// discrimination-tree experiments, with opt.Algo = learn.AlgoTree) and
-// conformance words reach it in chunks, which a compiled simulator answers
-// on the batched plan/execute/record engine. The chunk width is a constant,
-// so the learned machine, the learner statistics and every oracle counter
-// are identical at any GOMAXPROCS. The returned machine is checked against
-// nothing: callers that know the ground truth can extract it with
-// mealy.FromPolicy and compare.
-func LearnSimulated(ctx context.Context, policyName string, assoc int, opt learn.Options) (*SimResult, error) {
-	return LearnSimulatedSnapshot(ctx, policyName, assoc, opt, SnapshotOptions{})
-}
-
-// LearnSimulatedSnapshot is LearnSimulated with oracle query-store
-// persistence: an existing snapshot warm-starts the oracle (the learner
-// replays recorded answers from disk and probes the simulator only for
-// new words), and the store can be saved after the run for the next one.
-// The learned machine — and the learner's whole query trajectory — is
-// bit-identical cold or warm; only the backend probe count changes.
-func LearnSimulatedSnapshot(ctx context.Context, policyName string, assoc int, opt learn.Options, snap SnapshotOptions) (*SimResult, error) {
-	return LearnSimulatedSim(ctx, policyName, assoc, opt, snap, SimOptions{})
-}
-
 // NewSimOracle builds the simulated-cache Polca oracle for a named policy
 // exactly as the learning pipelines do: compiled kernel by default, fault
 // injection / retry policy per SimOptions. It
@@ -304,9 +280,28 @@ func NewSimOracleFleet(policyName string, assoc int, sim SimOptions) (oracle *po
 	return polca.NewOracle(prober, opts...), fleet, canonical, scope, nil
 }
 
-// LearnSimulatedSim is LearnSimulatedSnapshot with an explicit simulator
-// configuration — the seam the -compiled toggles of cmd/polca,
-// cmd/experiments and cmd/genmodels thread through.
+// LearnSimulatedSim learns a named policy of the given associativity from
+// a software-simulated cache (the §6 case study). It is the one entry point
+// for simulated learns: cmd/polca, cmd/experiments, cmd/genmodels and the
+// examples all call it.
+//
+// The Polca oracle implements learn.BatchTeacher: the learner's
+// observation-table rows (or discrimination-tree experiments, with
+// opt.Algo = learn.AlgoTree) and conformance words reach it in chunks,
+// which a compiled simulator answers on the batched plan/execute/record
+// engine. The chunk width is a constant, so the learned machine, the
+// learner statistics and every oracle counter are identical at any
+// GOMAXPROCS. The returned machine is checked against nothing: callers
+// that know the ground truth can extract it with mealy.FromPolicy and
+// compare.
+//
+// snap adds oracle query-store persistence: an existing snapshot
+// warm-starts the oracle (the learner replays recorded answers from disk
+// and probes the simulator only for new words), and the store can be saved
+// after the run for the next one. The learned machine — and the learner's
+// whole query trajectory — is bit-identical cold or warm; only the backend
+// probe count changes. sim configures the simulator stack below the
+// learner (the -compiled toggles, fault injection, a worker fleet).
 func LearnSimulatedSim(ctx context.Context, policyName string, assoc int, opt learn.Options, snap SnapshotOptions, sim SimOptions) (*SimResult, error) {
 	oracle, fleet, canonical, scope, err := NewSimOracleFleet(policyName, assoc, sim)
 	if err != nil {

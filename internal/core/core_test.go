@@ -27,8 +27,8 @@ func testCPU() hw.CPUConfig {
 	}
 }
 
-func TestLearnSimulated(t *testing.T) {
-	res, err := LearnSimulated(context.Background(), "MRU", 4, learn.Options{Depth: 1})
+func TestLearnSimulatedSim(t *testing.T) {
+	res, err := LearnSimulatedSim(context.Background(), "MRU", 4, learn.Options{Depth: 1}, SnapshotOptions{}, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestLearnSimulated(t *testing.T) {
 	if res.OracleStats.Probes == 0 || res.LearnStats.OutputQueries == 0 {
 		t.Error("stats not collected")
 	}
-	if _, err := LearnSimulated(context.Background(), "nope", 4, learn.Options{}); err == nil {
+	if _, err := LearnSimulatedSim(context.Background(), "nope", 4, learn.Options{}, SnapshotOptions{}, SimOptions{}); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
@@ -264,11 +264,11 @@ func TestWarmStartSimulated(t *testing.T) {
 	}{{"LRU", 4}, {"SRRIP-HP", 4}} {
 		t.Run(c.name, func(t *testing.T) {
 			snap := filepath.Join(t.TempDir(), "oracle.qs")
-			cold, err := LearnSimulatedSnapshot(context.Background(), c.name, c.assoc, learn.Options{Depth: 1}, SnapshotOptions{SavePath: snap})
+			cold, err := LearnSimulatedSim(context.Background(), c.name, c.assoc, learn.Options{Depth: 1}, SnapshotOptions{SavePath: snap}, SimOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := LearnSimulatedSnapshot(context.Background(), c.name, c.assoc, learn.Options{Depth: 1}, SnapshotOptions{WarmPath: snap})
+			warm, err := LearnSimulatedSim(context.Background(), c.name, c.assoc, learn.Options{Depth: 1}, SnapshotOptions{WarmPath: snap}, SimOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -293,10 +293,10 @@ func TestWarmStartSimulated(t *testing.T) {
 // refused when warm-starting another.
 func TestWarmStartScopeGuard(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "oracle.qs")
-	if _, err := LearnSimulatedSnapshot(context.Background(), "LRU", 4, learn.Options{Depth: 1}, SnapshotOptions{SavePath: snap}); err != nil {
+	if _, err := LearnSimulatedSim(context.Background(), "LRU", 4, learn.Options{Depth: 1}, SnapshotOptions{SavePath: snap}, SimOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := LearnSimulatedSnapshot(context.Background(), "MRU", 4, learn.Options{Depth: 1}, SnapshotOptions{WarmPath: snap})
+	_, err := LearnSimulatedSim(context.Background(), "MRU", 4, learn.Options{Depth: 1}, SnapshotOptions{WarmPath: snap}, SimOptions{})
 	if err == nil || !strings.Contains(err.Error(), "recorded for") {
 		t.Fatalf("cross-policy warm start not rejected: %v", err)
 	}

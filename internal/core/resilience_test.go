@@ -147,7 +147,7 @@ func TestFaultSoakHardwareReplicaDeath(t *testing.T) {
 func TestCrashResumeConvergesIdentically(t *testing.T) {
 	t.Parallel()
 	opt := learn.Options{Depth: 1, Algo: learn.AlgoTree}
-	clean, err := LearnSimulated(context.Background(), "New1", 4, opt)
+	clean, err := LearnSimulatedSim(context.Background(), "New1", 4, opt, SnapshotOptions{}, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +164,8 @@ func TestCrashResumeConvergesIdentically(t *testing.T) {
 		t.Fatalf("no checkpoint survived the crash: %v", err)
 	}
 
-	resumed, err := LearnSimulatedSnapshot(context.Background(), "New1", 4, opt,
-		SnapshotOptions{WarmPath: ckpt, SavePath: ckpt, CheckpointEvery: 16, ColdOnDamage: true})
+	resumed, err := LearnSimulatedSim(context.Background(), "New1", 4, opt,
+		SnapshotOptions{WarmPath: ckpt, SavePath: ckpt, CheckpointEvery: 16, ColdOnDamage: true}, SimOptions{})
 	if err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}
@@ -193,8 +193,8 @@ func TestCheckpointsWrittenDuringLearn(t *testing.T) {
 		t.Fatalf("crash plan returned %v", err)
 	}
 	// The checkpoint must be complete and warm-startable, not torn.
-	res, err := LearnSimulatedSnapshot(context.Background(), "MRU", 4, learn.Options{Depth: 1},
-		SnapshotOptions{WarmPath: ckpt})
+	res, err := LearnSimulatedSim(context.Background(), "MRU", 4, learn.Options{Depth: 1},
+		SnapshotOptions{WarmPath: ckpt}, SimOptions{})
 	if err != nil {
 		t.Fatalf("checkpoint unusable: %v", err)
 	}
@@ -215,16 +215,16 @@ func TestColdOnDamageDegrades(t *testing.T) {
 
 	check := func(name, warm string) {
 		t.Helper()
-		res, err := LearnSimulatedSnapshot(context.Background(), "MRU", 4, opt,
-			SnapshotOptions{WarmPath: warm, ColdOnDamage: true})
+		res, err := LearnSimulatedSim(context.Background(), "MRU", 4, opt,
+			SnapshotOptions{WarmPath: warm, ColdOnDamage: true}, SimOptions{})
 		if err != nil {
 			t.Fatalf("%s: degrade failed: %v", name, err)
 		}
 		if eq, _ := res.Machine.Equivalent(truth); !eq {
 			t.Errorf("%s: cold fallback mislearned", name)
 		}
-		if _, err := LearnSimulatedSnapshot(context.Background(), "MRU", 4, opt,
-			SnapshotOptions{WarmPath: warm}); err == nil {
+		if _, err := LearnSimulatedSim(context.Background(), "MRU", 4, opt,
+			SnapshotOptions{WarmPath: warm}, SimOptions{}); err == nil {
 			t.Errorf("%s: damage accepted without ColdOnDamage", name)
 		}
 	}
@@ -233,8 +233,8 @@ func TestColdOnDamageDegrades(t *testing.T) {
 
 	// A truncated snapshot: record a good one, cut it in half.
 	good := filepath.Join(dir, "good.qs")
-	if _, err := LearnSimulatedSnapshot(context.Background(), "MRU", 4, opt,
-		SnapshotOptions{SavePath: good}); err != nil {
+	if _, err := LearnSimulatedSim(context.Background(), "MRU", 4, opt,
+		SnapshotOptions{SavePath: good}, SimOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(good)
@@ -255,8 +255,8 @@ func TestColdOnDamageDegrades(t *testing.T) {
 
 	// A scope mismatch is a caller bug, not damage: it must fail even with
 	// ColdOnDamage set.
-	if _, err := LearnSimulatedSnapshot(context.Background(), "LRU", 4, opt,
-		SnapshotOptions{WarmPath: good, ColdOnDamage: true}); err == nil {
+	if _, err := LearnSimulatedSim(context.Background(), "LRU", 4, opt,
+		SnapshotOptions{WarmPath: good, ColdOnDamage: true}, SimOptions{}); err == nil {
 		t.Error("snapshot for MRU accepted as warm start for LRU")
 	}
 }

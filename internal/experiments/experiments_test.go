@@ -11,7 +11,6 @@ import (
 	"repro/internal/cachequery"
 	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/learn"
 	"repro/internal/mealy"
 	"repro/internal/policy"
 )
@@ -47,11 +46,11 @@ func TestFmtDuration(t *testing.T) {
 }
 
 func TestTable2RowLearnsAndVerifies(t *testing.T) {
-	row := RunTable2Row(context.Background(), "LRU", 4)
+	row := RunTable2Row(context.Background(), "LRU", 4, Table2Options{})
 	if !row.Verified || row.States != 24 || row.Err != "" {
 		t.Errorf("row = %+v", row)
 	}
-	bad := RunTable2Row(context.Background(), "NOPE", 4)
+	bad := RunTable2Row(context.Background(), "NOPE", 4, Table2Options{})
 	if bad.Err == "" {
 		t.Error("unknown policy accepted")
 	}
@@ -59,19 +58,38 @@ func TestTable2RowLearnsAndVerifies(t *testing.T) {
 
 func TestTable2RowSnapshotWarmStart(t *testing.T) {
 	dir := t.TempDir()
-	cold := RunTable2RowSnap(context.Background(), "LRU", 4, learn.Options{Depth: 1}, dir)
+	cold := RunTable2Row(context.Background(), "LRU", 4, Table2Options{SnapshotDir: dir})
 	if !cold.Verified || cold.Err != "" {
 		t.Fatalf("cold row = %+v", cold)
 	}
 	if _, err := os.Stat(core.SnapshotPathInDir(dir, "LRU", 4)); err != nil {
 		t.Fatalf("snapshot not written: %v", err)
 	}
-	warm := RunTable2RowSnap(context.Background(), "LRU", 4, learn.Options{Depth: 1}, dir)
+	warm := RunTable2Row(context.Background(), "LRU", 4, Table2Options{SnapshotDir: dir})
 	if !warm.Verified || warm.Err != "" {
 		t.Fatalf("warm row = %+v", warm)
 	}
 	if warm.Queries != cold.Queries || warm.States != cold.States {
 		t.Errorf("warm trajectory diverged: cold %+v, warm %+v", cold, warm)
+	}
+}
+
+// TestTable2ConcurrentMatchesSerial: rows learned on parallel goroutines
+// come back in spec order with the serial run's results, and
+// associativities the policy does not support are skipped.
+func TestTable2ConcurrentMatchesSerial(t *testing.T) {
+	spec := []Table2Spec{{"LRU", []int{2, 4}}, {"PLRU", []int{3, 4}}}
+	serial := RunTable2(context.Background(), spec, Table2Options{})
+	parallel := RunTable2(context.Background(), spec, Table2Options{Concurrency: 3})
+	if len(serial) != 3 || len(parallel) != 3 {
+		t.Fatalf("got %d serial and %d parallel rows, want 3 (PLRU-3 skipped)", len(serial), len(parallel))
+	}
+	for i := range serial {
+		s, p := serial[i], parallel[i]
+		if !s.Verified || !p.Verified || s.Policy != p.Policy || s.Assoc != p.Assoc ||
+			s.States != p.States || s.Queries != p.Queries {
+			t.Errorf("row %d: serial %+v, parallel %+v", i, s, p)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package learn
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -29,7 +30,7 @@ func (t *countingTeacher) NumInputs() int { return t.m.NumInputs }
 
 func (t *countingTeacher) OutputQuery(_ context.Context, word []int) ([]int, error) {
 	t.mu.Lock()
-	t.asked[wordKey(word)]++
+	t.asked[fmt.Sprint(word)]++
 	t.mu.Unlock()
 	return t.m.Run(word), nil
 }

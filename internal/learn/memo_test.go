@@ -12,10 +12,24 @@ import (
 	"repro/internal/qstore"
 )
 
-// TestTrieLearnerMatchesFlatMemo: the trie memo answers prefix queries for
-// free but must learn the exact same machine as the flat exact-match memo,
-// with no more teacher queries.
-func TestTrieLearnerMatchesFlatMemo(t *testing.T) {
+// orderTeacher answers from a machine and records every word it is asked,
+// in order.
+type orderTeacher struct {
+	m     *mealy.Machine
+	asked [][]int
+}
+
+func (t *orderTeacher) NumInputs() int { return t.m.NumInputs }
+
+func (t *orderTeacher) OutputQuery(_ context.Context, word []int) ([]int, error) {
+	t.asked = append(t.asked, append([]int(nil), word...))
+	return t.m.Run(word), nil
+}
+
+// TestTrieLearnerNeverReasksPrefixes: the learner learns the ground truth
+// and never asks the teacher a word that equals, or is a prefix of, a word
+// it asked earlier — the prefix-tree memo answers all of those.
+func TestTrieLearnerNeverReasksPrefixes(t *testing.T) {
 	cases := []struct {
 		name  string
 		assoc int
@@ -33,26 +47,36 @@ func TestTrieLearnerMatchesFlatMemo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trie, err := Learn(context.Background(), MachineTeacher{M: truth}, Options{Depth: 1})
+		teacher := &orderTeacher{m: truth}
+		res, err := Learn(context.Background(), teacher, Options{Depth: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, err := Learn(context.Background(), MachineTeacher{M: truth}, Options{Depth: 1, FlatMemo: true})
-		if err != nil {
-			t.Fatal(err)
+		if ok, cex := res.Machine.Equivalent(truth); !ok {
+			t.Errorf("%s-%d: learned machine differs from the ground truth on %v", c.name, c.assoc, cex)
 		}
-		tm, fm := trie.Machine, flat.Machine
-		if tm.NumStates != fm.NumStates || !reflect.DeepEqual(tm.Next, fm.Next) ||
-			!reflect.DeepEqual(tm.Out, fm.Out) {
-			t.Errorf("%s-%d: trie learner diverged from the flat-memo reference", c.name, c.assoc)
+		if len(teacher.asked) != res.Stats.OutputQueries {
+			t.Errorf("%s-%d: teacher saw %d words, learner counted %d",
+				c.name, c.assoc, len(teacher.asked), res.Stats.OutputQueries)
 		}
-		if trie.Stats.OutputQueries > flat.Stats.OutputQueries {
-			t.Errorf("%s-%d: trie learner asked %d queries, flat memo %d — prefix sharing lost queries",
-				c.name, c.assoc, trie.Stats.OutputQueries, flat.Stats.OutputQueries)
-		}
-		if trie.Stats.TestWords != flat.Stats.TestWords {
-			t.Errorf("%s-%d: conformance trajectories diverged (%d vs %d test words)",
-				c.name, c.assoc, trie.Stats.TestWords, flat.Stats.TestWords)
+		answered := qstore.New[int, struct{}](qstore.Options{Degree: truth.NumInputs})
+		for i, w := range teacher.asked {
+			sh := answered.Acquire(w)
+			n := int32(0)
+			for _, a := range w {
+				if n = sh.Child(n, a); n < 0 {
+					break
+				}
+			}
+			if n >= 0 {
+				sh.Release()
+				t.Fatalf("%s-%d: query %d %v re-asks an answered word or prefix", c.name, c.assoc, i, w)
+			}
+			n = 0
+			for _, a := range w {
+				n = sh.Extend(n, a)
+			}
+			sh.Release()
 		}
 	}
 }

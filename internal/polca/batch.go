@@ -193,7 +193,7 @@ func (bp *BatchProber) answer(ctx context.Context, words [][]int) ([][]int, erro
 		o.symbols.Add(int64(len(w)))
 	}
 	var out [][]int
-	if o.trieOn() {
+	if o.useMemo {
 		out = bp.run(words)
 	} else {
 		out = o.batchedQueryNoMemo(bp.tab, words)

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -142,7 +141,7 @@ type Stats struct {
 	OutputQueries int `json:"output_queries"` // policy-level output queries answered
 	Symbols       int `json:"symbols"`        // policy input symbols processed
 	Probes        int `json:"probes"`         // reset-rooted cache probes issued (after memoization)
-	MemoHits      int `json:"memo_hits"`      // memo answers: whole probes on the flat path, word symbols on the trie paths
+	MemoHits      int `json:"memo_hits"`      // memo answers: word symbols from the output store, whole probes from the probe store
 	Accesses      int `json:"accesses"`       // total block accesses issued to the cache
 	Retries       int `json:"retries"`        // transient probe failures absorbed by the retry policy
 	Disagreements int `json:"disagreements"`  // probe re-executions (votes) that returned conflicting outcomes
@@ -157,8 +156,6 @@ type Stats struct {
 // longest recorded prefix, and forking (simulator) probers park live
 // sessions at store nodes so a query that extends a known prefix executes
 // only its suffix instead of replaying the whole word from reset.
-// WithoutTrie restores the flat exact-match memo for the ablation
-// benchmarks.
 //
 // The oracle is safe for concurrent use and implements learn.BatchTeacher.
 // A compiled SimProber answers every query on the batched engine
@@ -167,8 +164,7 @@ type Stats struct {
 // one answers word by word. Only a ConcurrentProber (a hardware replica
 // pool, a remote fleet) has the words of a batch fanned out over
 // goroutines. The stores are lock-striped — one shard per leading input
-// symbol by default (WithStoreStripes(1) collapses them for the
-// contention benchmarks) — and the cost counters are lock-free atomics.
+// symbol — and the cost counters are lock-free atomics.
 type Oracle struct {
 	prober  Prober
 	cc0     []blocks.Block
@@ -176,9 +172,7 @@ type Oracle struct {
 	recheck int     // re-run every recheck-th query to detect nondeterminism
 	workers int     // concurrent-prober fan-out width (defaults to GOMAXPROCS)
 	useMemo bool
-	useTrie bool
 	sessCap int
-	stripes int // lock stripes per store (0 = one per input symbol)
 
 	retry RetryPolicy // transient-failure retry policy (see retry.go)
 	votes int         // probe executions per result; >1 majority-votes against flips
@@ -200,10 +194,6 @@ type Oracle struct {
 	ckMu    sync.Mutex
 	ckLast  atomic.Int64
 
-	mu       sync.Mutex                // guards the flat memo only (WithoutTrie)
-	memo     map[string]cache.Outcome  // flat memo (WithoutTrie)
-	inflight map[string]*inflightProbe // flat-memo single-flight
-
 	out    *qstore.Store[int, outVal]     // policy-level output memo + parked sessions
 	pt     *qstore.Store[int32, probeVal] // block-level probe memo + single-flight
 	lru    []lruList                      // per-shard parked-session LRU (see store.go)
@@ -224,19 +214,11 @@ type inflightProbe struct {
 // Option configures an Oracle.
 type Option func(*Oracle)
 
-// WithoutMemo disables all memoization — the flat probe memo and the prefix
-// trees alike (for the ablation benchmarks).
+// WithoutMemo disables all memoization — both query stores and session
+// parking (for the kernel ablation benchmarks and as the tests' unmemoized
+// reference).
 func WithoutMemo() Option {
-	return func(o *Oracle) { o.useMemo = false; o.memo = nil }
-}
-
-// WithoutTrie disables the prefix-tree engine, restoring the flat
-// exact-match probe memo and the unmemoized session path: trajectories
-// (probe, access, and memo-hit counts) are exactly those of the pre-trie
-// oracle, which is what the ablation benchmarks compare against. Learned
-// machines are identical either way.
-func WithoutTrie() Option {
-	return func(o *Oracle) { o.useTrie = false }
+	return func(o *Oracle) { o.useMemo = false }
 }
 
 // DefaultSessionCap bounds how many forked sessions the trie keeps parked
@@ -253,15 +235,6 @@ func WithSessionCap(n int) Option {
 		}
 		o.sessCap = n
 	}
-}
-
-// WithStoreStripes overrides the lock-stripe count of the oracle's query
-// stores. The default (n <= 0) stripes by the input alphabet: one shard
-// per leading symbol, so batched workers rarely contend. n == 1 collapses
-// each store to a single lock — the pre-striping single-mutex oracle the
-// contention benchmarks compare against.
-func WithStoreStripes(n int) Option {
-	return func(o *Oracle) { o.stripes = n }
 }
 
 // WithDeterminismChecks re-executes every n-th output query and compares the
@@ -337,15 +310,12 @@ func (o *Oracle) maybeCheckpoint() {
 // NewOracle builds a Polca oracle over the given cache interface.
 func NewOracle(p Prober, opts ...Option) *Oracle {
 	o := &Oracle{
-		prober:   p,
-		cc0:      append([]blocks.Block(nil), p.InitialContent()...),
-		memo:     make(map[string]cache.Outcome),
-		inflight: make(map[string]*inflightProbe),
-		useMemo:  true,
-		useTrie:  true,
-		sessCap:  DefaultSessionCap,
-		retry:    DefaultRetryPolicy,
-		votes:    1,
+		prober:  p,
+		cc0:     append([]blocks.Block(nil), p.InitialContent()...),
+		useMemo: true,
+		sessCap: DefaultSessionCap,
+		retry:   DefaultRetryPolicy,
+		votes:   1,
 	}
 	for _, opt := range opts {
 		opt(o)
@@ -361,14 +331,10 @@ func NewOracle(p Prober, opts ...Option) *Oracle {
 		}
 		o.cc0IDs[i] = int32(id)
 	}
-	if o.trieOn() {
+	if o.useMemo {
 		numIn := policy.NumInputs(p.Assoc())
-		stripes := o.stripes
-		if stripes <= 0 {
-			stripes = numIn
-		}
-		o.out = qstore.New[int, outVal](qstore.Options{Degree: numIn, Stripes: stripes, Sync: true})
-		o.pt = qstore.New[int32, probeVal](qstore.Options{Stripes: stripes, Sync: true})
+		o.out = qstore.New[int, outVal](qstore.Options{Degree: numIn, Stripes: numIn, Sync: true})
+		o.pt = qstore.New[int32, probeVal](qstore.Options{Stripes: numIn, Sync: true})
 		o.lru = make([]lruList, o.out.Stripes())
 		for i := range o.lru {
 			o.lru[i] = lruList{head: -1, tail: -1}
@@ -378,16 +344,11 @@ func NewOracle(p Prober, opts ...Option) *Oracle {
 			o.lruCap = 1
 		}
 	}
-	if sp, ok := p.(*SimProber); ok && sp.tab != nil && (o.trieOn() || !o.useMemo) {
-		// The flat-memo ablation (WithoutTrie) keeps its serial trajectory.
+	if sp, ok := p.(*SimProber); ok && sp.tab != nil {
 		o.engine = newBatchProber(o, sp)
 	}
 	return o
 }
-
-// trieOn reports whether the prefix-tree engine serves this oracle's
-// queries.
-func (o *Oracle) trieOn() bool { return o.useMemo && o.useTrie }
 
 // NumInputs implements learn.Teacher: the policy alphabet Ln(0..n-1), Evct.
 func (o *Oracle) NumInputs() int { return policy.NumInputs(o.prober.Assoc()) }
@@ -412,11 +373,10 @@ func (o *Oracle) Stats() Stats {
 // stores — the policy-level output memo and the block-level probe memo —
 // as a live capacity/coverage signal. The polcad daemon surfaces it on the
 // status endpoint so operators can watch shared engines fill up. Both
-// counts are zero when the trie engine is disabled (WithoutMemo or
-// WithoutTrie); reading them takes each shard lock briefly, so the hot
-// query path is unaffected.
+// counts are zero when memoization is disabled (WithoutMemo); reading them
+// takes each shard lock briefly, so the hot query path is unaffected.
 func (o *Oracle) StoreFootprint() (outNodes, probeNodes int) {
-	if !o.trieOn() {
+	if !o.useMemo {
 		return 0, 0
 	}
 	return o.out.NodeCount(), o.pt.NodeCount()
@@ -462,17 +422,12 @@ func (o *Oracle) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// probe issues one reset-rooted probe, via the probe memo when enabled.
-// fresh=true is the determinism audit: it bypasses the memo entirely AND
-// forces a real execution on cached probing stacks (FreshProber) — a cached
-// replay of the first answer would make the audit vacuous.
-//
-// ids, when non-nil, carries q as dense block indices and routes the memo
-// through the probe trie: the key is a trie path, not an allocated string.
-//
-// Memoized probes are single-flighted: when parallel batch goroutines miss
-// the memo on the same key (words sharing an input prefix probe identical
-// block sequences), only one executes; the rest wait for its result.
+// probe issues one reset-rooted probe, via the block-id probe store when
+// memoization is enabled; ids carries q as dense block indices and is the
+// store key. fresh=true is the determinism audit: it bypasses the memo
+// entirely AND forces a real execution on cached probing stacks
+// (FreshProber) — a cached replay of the first answer would make the audit
+// vacuous.
 func (o *Oracle) probe(ctx context.Context, q []blocks.Block, ids []int32, fresh bool) (cache.Outcome, error) {
 	if fresh || !o.useMemo {
 		oc, err := o.executeProbe(ctx, q, fresh)
@@ -483,50 +438,14 @@ func (o *Oracle) probe(ctx context.Context, q []blocks.Block, ids []int32, fresh
 		o.accessesN.Add(int64(len(q)))
 		return oc, nil
 	}
-	if o.trieOn() && ids != nil {
-		return o.probeTriePath(ctx, q, ids)
-	}
-
-	key := strings.Join(q, " ")
-	o.mu.Lock()
-	if oc, ok := o.memo[key]; ok {
-		o.memoHits.Add(1)
-		o.mu.Unlock()
-		return oc, nil
-	}
-	if fl, ok := o.inflight[key]; ok {
-		o.mu.Unlock()
-		<-fl.done
-		if fl.err != nil {
-			return Missed(), fl.err
-		}
-		o.memoHits.Add(1)
-		return fl.oc, nil
-	}
-	fl := &inflightProbe{done: make(chan struct{})}
-	o.inflight[key] = fl
-	o.mu.Unlock()
-
-	fl.oc, fl.err = o.executeProbe(ctx, q, false)
-	o.mu.Lock()
-	delete(o.inflight, key)
-	if fl.err == nil {
-		o.probesN.Add(1)
-		o.accessesN.Add(int64(len(q)))
-		o.memo[key] = fl.oc
-	}
-	o.mu.Unlock()
-	close(fl.done)
-	if fl.err != nil {
-		return Missed(), fl.err
-	}
-	return fl.oc, nil
+	return o.probeTriePath(ctx, q, ids)
 }
 
 // probeTriePath is probe's memoized path over the block-id probe store.
 // The probe's shard stays locked only around the memo bookkeeping; the
-// execution itself is single-flighted so concurrent requesters of the same
-// key wait instead of duplicating the (expensive) probe.
+// execution itself is single-flighted: when parallel batch goroutines miss
+// on the same key (words sharing an input prefix probe identical block
+// sequences), only one executes and the rest wait for its result.
 func (o *Oracle) probeTriePath(ctx context.Context, q []blocks.Block, ids []int32) (cache.Outcome, error) {
 	sh := o.pt.Acquire(ids)
 	n := sh.Ensure(ids)
@@ -582,17 +501,10 @@ func (o *Oracle) reprobe(ctx context.Context, q []blocks.Block, ids []int32) (ca
 	o.probesN.Add(1)
 	o.accessesN.Add(int64(len(q)))
 	if o.useMemo {
-		if o.trieOn() && ids != nil {
-			sh := o.pt.Acquire(ids)
-			n := sh.Ensure(ids)
-			sh.Put(n, probeVal{oc: oc})
-			sh.Release()
-		} else {
-			key := strings.Join(q, " ")
-			o.mu.Lock()
-			o.memo[key] = oc
-			o.mu.Unlock()
-		}
+		sh := o.pt.Acquire(ids)
+		n := sh.Ensure(ids)
+		sh.Put(n, probeVal{oc: oc})
+		sh.Release()
 	}
 	return oc, nil
 }
@@ -786,19 +698,20 @@ func (o *Oracle) OutputQueryBatch(ctx context.Context, words [][]int) ([][]int, 
 
 func (o *Oracle) outputQueryOnce(ctx context.Context, word []int, fresh bool) ([]int, error) {
 	if fp, ok := o.prober.(ForkingProber); ok {
-		if !fresh && o.trieOn() {
+		if !fresh && o.useMemo {
 			return o.sessionQueryTrie(fp, word)
 		}
 		return o.outputQuerySessions(fp, word)
 	}
-	if !fresh && o.trieOn() {
+	if !fresh && o.useMemo {
 		return o.probesQueryTrie(ctx, word)
 	}
 	return o.outputQueryProbes(ctx, word, fresh)
 }
 
 // outputQueryProbes is the faithful Algorithm 1 loop over reset-rooted
-// probes, used against hardware-style probers.
+// probes, used against hardware-style probers when memoization is off and
+// by the determinism audit.
 func (o *Oracle) outputQueryProbes(ctx context.Context, word []int, fresh bool) ([]int, error) {
 	n := o.prober.Assoc()
 	cc := append([]blocks.Block(nil), o.cc0...)

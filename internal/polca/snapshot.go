@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/policy"
 	"repro/internal/qstore"
 )
 
@@ -31,8 +32,8 @@ const snapshotMagic = "POLCAQS"
 // snapshotVersion is the oracle-level header version.
 const snapshotVersion = 1
 
-// errNoTrie is returned when snapshotting a flat-memo or unmemoized oracle.
-var errNoTrie = errors.New("polca: snapshots require the prefix-tree query engine (WithoutMemo/WithoutTrie oracles have no output store)")
+// errNoTrie is returned when snapshotting an unmemoized oracle.
+var errNoTrie = errors.New("polca: snapshots require the prefix-tree query engine (WithoutMemo oracles have no output store)")
 
 // ErrSnapshotScope is returned by LoadSnapshot when the snapshot was
 // recorded for a different scope (policy, reset, or hardware target) than
@@ -50,8 +51,11 @@ func corruptf(format string, args ...any) error {
 }
 
 // outCodec encodes output-store values for snapshots: the policy output
-// alone. Sessions and LRU links are transient decorations.
-type outCodec struct{}
+// alone. Sessions and LRU links are transient decorations. Decoding
+// rejects outputs outside [policy.Bottom, assoc): the query paths index
+// the tracked cache content by them, so an out-of-range value in a
+// CRC-valid snapshot would otherwise panic the first query that reads it.
+type outCodec struct{ assoc int }
 
 // AppendValue implements qstore.Codec.
 func (outCodec) AppendValue(dst []byte, v outVal) []byte {
@@ -59,10 +63,13 @@ func (outCodec) AppendValue(dst []byte, v outVal) []byte {
 }
 
 // DecodeValue implements qstore.Codec.
-func (outCodec) DecodeValue(src []byte) (outVal, int, error) {
+func (c outCodec) DecodeValue(src []byte) (outVal, int, error) {
 	x, n := binary.Varint(src)
 	if n <= 0 {
-		return outVal{}, 0, fmt.Errorf("truncated output value")
+		return outVal{}, 0, corruptf("truncated output value")
+	}
+	if x < policy.Bottom || x >= int64(c.assoc) {
+		return outVal{}, 0, corruptf("output value %d out of range for associativity %d", x, c.assoc)
 	}
 	return outVal{out: int16(x)}, n, nil
 }
@@ -70,18 +77,22 @@ func (outCodec) DecodeValue(src []byte) (outVal, int, error) {
 // SaveSnapshot writes the oracle's recorded policy outputs to w, tagged
 // with the caller's scope string.
 func (o *Oracle) SaveSnapshot(w io.Writer, scope string) error {
-	if !o.trieOn() {
+	if !o.useMemo {
 		return errNoTrie
 	}
-	var hdr []byte
-	hdr = append(hdr, snapshotMagic...)
-	hdr = binary.AppendUvarint(hdr, snapshotVersion)
-	hdr = binary.AppendUvarint(hdr, uint64(len(scope)))
-	hdr = append(hdr, scope...)
-	if _, err := w.Write(hdr); err != nil {
+	if _, err := w.Write(snapshotHeader(scope)); err != nil {
 		return fmt.Errorf("polca: writing snapshot header: %w", err)
 	}
-	return o.out.Save(w, outCodec{})
+	return o.out.Save(w, outCodec{assoc: o.prober.Assoc()})
+}
+
+// snapshotHeader is the oracle-level header that precedes the store
+// payload: magic, version, and the length-prefixed scope string.
+func snapshotHeader(scope string) []byte {
+	hdr := append([]byte(nil), snapshotMagic...)
+	hdr = binary.AppendUvarint(hdr, snapshotVersion)
+	hdr = binary.AppendUvarint(hdr, uint64(len(scope)))
+	return append(hdr, scope...)
 }
 
 // LoadSnapshot merges a snapshot into the oracle's policy-output store.
@@ -93,7 +104,7 @@ func (o *Oracle) SaveSnapshot(w io.Writer, scope string) error {
 // references them. Several snapshots of the same scope may be loaded in
 // sequence, as long as all of them land before the first query.
 func (o *Oracle) LoadSnapshot(r io.Reader, scope string) error {
-	if !o.trieOn() {
+	if !o.useMemo {
 		return errNoTrie
 	}
 	if o.outputQueries.Load() != 0 {
@@ -129,12 +140,8 @@ func (o *Oracle) LoadSnapshot(r io.Reader, scope string) error {
 	if string(got) != scope {
 		return fmt.Errorf("%w: snapshot recorded for %q, this oracle is %q", ErrSnapshotScope, got, scope)
 	}
-	if err := o.out.Load(br, outCodec{}); err != nil {
-		var se *qstore.SnapshotError
-		if errors.As(err, &se) {
-			return fmt.Errorf("polca: %w", err)
-		}
-		return err
+	if err := o.out.Load(br, outCodec{assoc: o.prober.Assoc()}); err != nil {
+		return fmt.Errorf("polca: %w", err)
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package polca
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -10,6 +12,7 @@ import (
 
 	"repro/internal/learn"
 	"repro/internal/policy"
+	"repro/internal/qstore"
 )
 
 // randomWords draws a reproducible query workload over the policy alphabet.
@@ -125,6 +128,62 @@ func TestSnapshotRejectsCorruptPayload(t *testing.T) {
 	}
 }
 
+// constOutCodec writes every output-store value as the same raw varint,
+// forging CRC-valid snapshots whose outputs no cache can produce.
+type constOutCodec struct{ v int64 }
+
+func (c constOutCodec) AppendValue(dst []byte, _ outVal) []byte {
+	return binary.AppendVarint(dst, c.v)
+}
+
+func (constOutCodec) DecodeValue([]byte) (outVal, int, error) {
+	return outVal{}, 0, errors.New("constOutCodec is write-only")
+}
+
+// TestSnapshotRejectsOutOfRangeOutputs: a checksum-valid snapshot whose
+// recorded outputs lie outside [policy.Bottom, assoc) must fail to load as
+// qstore.ErrCorrupt — so ColdOnDamage callers start cold — and leave the
+// oracle answering from the cache, on the batched engine, the interpreted
+// session path and the reset-rooted probe path alike. Out-of-range
+// outputs used to load silently and panic the first query reading them.
+func TestSnapshotRejectsOutOfRangeOutputs(t *testing.T) {
+	ctx := context.Background()
+	word := []int{4, 0, 4, 1}
+	src := NewOracle(NewSimProber(policy.MustNew("LRU", 4)))
+	want, err := src.OutputQuery(ctx, word)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probers := map[string]func() Prober{
+		"compiled":    func() Prober { return NewSimProber(policy.MustNew("LRU", 4)) },
+		"interpreted": func() Prober { return NewInterpretedSimProber(policy.MustNew("LRU", 4)) },
+		"probes":      func() Prober { return SlowProber{P: NewSimProber(policy.MustNew("LRU", 4))} },
+	}
+	for _, v := range []int64{7, 4, -2, -5, 40000} {
+		var buf bytes.Buffer
+		buf.Write(snapshotHeader("s"))
+		if err := src.out.Save(&buf, constOutCodec{v}); err != nil {
+			t.Fatal(err)
+		}
+		for name, mk := range probers {
+			o := NewOracle(mk())
+			if err := o.LoadSnapshot(bytes.NewReader(buf.Bytes()), "s"); !errors.Is(err, qstore.ErrCorrupt) {
+				t.Fatalf("%s: output %d loaded with err %v, want qstore.ErrCorrupt", name, v, err)
+			}
+			got, err := o.OutputQuery(ctx, word)
+			if err != nil {
+				t.Fatalf("%s: query after rejected load: %v", name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: query after rejected load = %v, want %v", name, got, want)
+			}
+		}
+	}
+	if _, _, err := (outCodec{assoc: 4}).DecodeValue(nil); !errors.Is(err, qstore.ErrCorrupt) {
+		t.Errorf("truncated output value: err %v, want qstore.ErrCorrupt", err)
+	}
+}
+
 // Loading over an oracle that has already answered queries would zero
 // parked-session decorations the LRU lists still reference; it must be
 // refused.
@@ -147,13 +206,13 @@ func TestSnapshotLoadAfterQueriesRejected(t *testing.T) {
 }
 
 func TestSnapshotRequiresTrieEngine(t *testing.T) {
-	flat := NewOracle(NewSimProber(policy.MustNew("LRU", 4)), WithoutTrie())
+	bare := NewOracle(NewSimProber(policy.MustNew("LRU", 4)), WithoutMemo())
 	var buf bytes.Buffer
-	if err := flat.SaveSnapshot(&buf, "s"); err == nil {
-		t.Fatal("flat-memo oracle produced a snapshot")
+	if err := bare.SaveSnapshot(&buf, "s"); err == nil {
+		t.Fatal("unmemoized oracle produced a snapshot")
 	}
-	if err := flat.LoadSnapshot(bytes.NewReader(nil), "s"); err == nil {
-		t.Fatal("flat-memo oracle loaded a snapshot")
+	if err := bare.LoadSnapshot(bytes.NewReader(nil), "s"); err == nil {
+		t.Fatal("unmemoized oracle loaded a snapshot")
 	}
 }
 

@@ -271,7 +271,7 @@ func (s *Store[K, V]) Load(r io.Reader, c Codec[V]) error {
 			return snapErrf("entry %d truncated", i)
 		}
 		p = p[n:]
-		if int(keep) > len(key) {
+		if keep > uint64(len(key)) {
 			return snapErrf("entry %d shares %d symbols, previous key has %d", i, keep, len(key))
 		}
 		key = key[:keep]

@@ -209,3 +209,21 @@ func TestSnapshotRejectsBadMagic(t *testing.T) {
 		t.Fatalf("bad magic not rejected: %v", err)
 	}
 }
+
+func TestSnapshotRejectsHugeSharedPrefix(t *testing.T) {
+	// An entry whose shared-prefix count does not fit in an int must be
+	// rejected, not wrap negative past the bounds check and panic slicing
+	// the previous key.
+	payload := []byte("QSNAP")
+	for _, x := range []uint64{SnapshotVersion, 5, 1, 1, 1 << 63, 0} {
+		payload = binary.AppendUvarint(payload, x)
+	}
+	payload = append(payload, 0)
+	data := binary.LittleEndian.AppendUint32(payload, crc32.ChecksumIEEE(payload))
+	fresh := New[int, string](Options{Degree: 5})
+	err := fresh.Load(bytes.NewReader(data), StringCodec{})
+	var se *SnapshotError
+	if !errors.As(err, &se) {
+		t.Fatalf("huge shared prefix not rejected with a SnapshotError: %v", err)
+	}
+}
